@@ -12,7 +12,7 @@ import numpy as np
 
 from .bayesnet import Dag, Dataset
 from .encoding import PermutationGenome, triangular_size
-from .errors import EmptyDataError, ValidationError
+from .errors import EmptyDataError, ValidationError, check_number
 from .scoring import LocalScoreCache, PriorSpec, bde_log_score, local_log_score
 
 ENUMERATION_LIMIT = 5
@@ -29,8 +29,8 @@ class K2Config:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.max_parents < 0:
-            raise ValidationError(f"max_parents must be >= 0, got {self.max_parents}")
+        check_number("max_parents", self.max_parents, integer=True, low=0)
+        check_number("seed", self.seed, integer=True)
 
 
 def _resolve_ordering(cfg: K2Config, n: int) -> tuple[int, ...]:

@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     SchemaError,
     ValidationError,
+    config_from_dict,
 )
 from .evolution import GaConfig, evolve
 from .harness import ExperimentConfig, run_comparison, score_structure
@@ -81,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn-ccga", parents=[common],
                        help="learn a structure with the coevolutionary GA")
     p.add_argument("--data", type=str, required=True)
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable local-score memoization")
     p.add_argument("--fit-cpts", action="store_true",
                    help="also export the structure with posterior-mean CPTs")
 
@@ -122,7 +121,7 @@ def _load_json_config(path) -> dict:
 
 def _ga_config(args) -> GaConfig:
     doc = _load_json_config(args.config) if args.config else {}
-    cfg = GaConfig(**doc)
+    cfg = config_from_dict(GaConfig, doc, "ga config")
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
@@ -167,7 +166,7 @@ def _cmd_score(args) -> int:
 def _cmd_learn_ccga(args) -> int:
     data = load_dataset(args.data)
     cfg = _ga_config(args)
-    state, trace = evolve(data, cfg, use_cache=not args.no_cache)
+    state, trace = evolve(data, cfg)
     best = state.best_so_far
     print(f"best_score={best.log_score:.6f}")
     out = _out_dir(args)

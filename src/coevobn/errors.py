@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the config checks
+that raise ValidationError."""
+
+import dataclasses
+import numbers
 
 
 class CoevoBnError(Exception):
@@ -27,3 +31,33 @@ class EncodingError(CoevoBnError):
 
 class EngineError(CoevoBnError):
     """The evolution engine was driven outside its contract."""
+
+
+def check_number(name: str, value, integer: bool = False, low=None,
+                 high=None) -> None:
+    """Reject anything but a real number (an integer if `integer`; bool
+    never counts) inside [low, high], where those bounds are given."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(
+            f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}"
+        )
+    if not (low is None or value >= low) or not (high is None or value <= high):
+        bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        raise ValidationError(f"{name} must {bounds}, got {value!r}")
+
+
+def check_keys(doc, known, what: str) -> dict:
+    """Return `doc` if it is a JSON object whose keys all lie in `known`;
+    otherwise raise ValidationError naming the offending keys."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
+    return doc
+
+
+def config_from_dict(cls, doc, what: str):
+    """Build the config dataclass `cls` from a JSON object of its fields."""
+    return cls(**check_keys(doc, [f.name for f in dataclasses.fields(cls)], what))

@@ -9,14 +9,12 @@ collaborator is used.
 
 Each generation runs selection, crossover, mutation, evaluation, and
 elitist replacement for the permutation species and then for the binary
-species. Runs are deterministic given the seed; parallel evaluation may
-reorder cache population but never changes a fitness value.
+species. Evaluation is sequential, so runs are deterministic given the
+seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,7 @@ from .encoding import (
     triangular_index,
     triangular_size,
 )
-from .errors import EmptyDataError, EngineError, ValidationError
+from .errors import EmptyDataError, EngineError, ValidationError, check_number
 from .scoring import LocalScoreCache, PriorSpec, score_parent_sets
 
 PERMUTATION = "permutation"
@@ -47,22 +45,20 @@ class GaConfig:
     p_mb: float | None = None
     p_mp: float = 0.5
     seed: int = 0
-    parallel_eval: bool = False
 
     def validate(self) -> None:
+        check_number("generations", self.generations, integer=True, low=0)
+        check_number("population_size", self.population_size, integer=True)
+        check_number("seed", self.seed, integer=True)
         if self.population_size < 2 or self.population_size % 2 != 0:
             raise ValidationError(
                 f"population_size must be even and >= 2 (tournament pairing), "
                 f"got {self.population_size}"
             )
-        if self.generations < 0:
-            raise ValidationError(f"generations must be >= 0, got {self.generations}")
-        for name in ("p_c", "p_mp"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {p}")
-        if self.p_mb is not None and not 0.0 <= self.p_mb <= 1.0:
-            raise ValidationError(f"p_mb must lie in [0, 1], got {self.p_mb}")
+        check_number("p_c", self.p_c, low=0, high=1)
+        check_number("p_mp", self.p_mp, low=0, high=1)
+        if self.p_mb is not None:  # None: one expected flip, resolved in evolve
+            check_number("p_mb", self.p_mb, low=0, high=1)
 
 
 @dataclass
@@ -311,40 +307,16 @@ def elitist_replace(prev: Subpopulation, offspring_members: list,
 # Fitness evaluation
 # ---------------------------------------------------------------------------
 
-def _assembled_score(perm: PermutationGenome, bits: BinaryGenome, data: Dataset,
-                     prior: PriorSpec, cache: LocalScoreCache | None) -> float:
-    return score_parent_sets(data, decode_parents(perm.order, bits.bits), prior, cache)
-
-
-def evaluate(member, own_species: str, other_pop: Subpopulation, data: Dataset,
-             prior: PriorSpec | None, cache: LocalScoreCache | None,
-             rng: np.random.Generator) -> float:
-    """Credit a member with the score of its best assembled solution.
-
-    Collaborators: one uniformly random member of the other subpopulation,
-    plus its recorded best once fitness exists (generation 0 has none).
-    """
-    prior = prior or PriorSpec()
-    idx = int(rng.integers(0, len(other_pop)))
-    partners = [other_pop.members[idx]]
-    if other_pop.fitness is not None:
-        partners.append(other_pop.best)
-    scores = []
-    for partner in partners:
-        if own_species == PERMUTATION:
-            scores.append(_assembled_score(member, partner, data, prior, cache))
-        else:
-            scores.append(_assembled_score(partner, member, data, prior, cache))
-    return max(scores)
-
-
 class _BestTracker:
-    """Running argmax over every complete solution scored in a run."""
+    """Running argmax over every complete solution scored in a run, plus the
+    number of solutions scored since the last trace record."""
 
     def __init__(self):
         self._best: tuple[float, PermutationGenome, BinaryGenome] | None = None
+        self._evaluations = 0
 
     def update(self, perm: PermutationGenome, bits: BinaryGenome, score: float) -> None:
+        self._evaluations += 1
         if self._best is None or score > self._best[0]:
             self._best = (score, perm, bits)
 
@@ -352,45 +324,52 @@ class _BestTracker:
     def score(self) -> float:
         return self._best[0]
 
+    def record(self, generation: int, mean_score: float) -> TraceRecord:
+        """Close a generation: its trace record, then restart the count."""
+        record = TraceRecord(generation, self.score, mean_score, self._evaluations)
+        self._evaluations = 0
+        return record
+
     def solution(self) -> BestSolution:
         score, perm, bits = self._best
         return BestSolution(perm, bits, score)
 
 
-def _score_pairs(pairs, data, prior, cache, executor) -> list[float]:
-    def one(pair):
-        perm, bits = pair
-        return _assembled_score(perm, bits, data, prior, cache)
+def evaluate(members: list, own_species: str, other_pop: Subpopulation,
+             data: Dataset, prior: PriorSpec | None,
+             cache: LocalScoreCache | None, rng: np.random.Generator,
+             tracker: _BestTracker | None = None) -> np.ndarray:
+    """Credit each member with the score of its best assembled solution.
 
-    if executor is None:
-        return [one(p) for p in pairs]
-    return list(executor.map(one, pairs))
+    Collaborators: the other subpopulation's recorded best once fitness
+    exists (generation 0 has none), then one uniformly random member. All
+    random partners come from a single rng draw made before any scoring.
+    Every assembled pair is offered to `tracker` in scoring order.
+    """
+    prior = prior or PriorSpec()
+    rand_idx = rng.integers(0, len(other_pop), size=len(members))
+    best_partner = [] if other_pop.fitness is None else [other_pop.best]
+    fitness = np.empty(len(members))
+    for t, member in enumerate(members):
+        scores = []
+        for partner in best_partner + [other_pop.members[int(rand_idx[t])]]:
+            perm, bits = (member, partner) if own_species == PERMUTATION \
+                else (partner, member)
+            score = score_parent_sets(data, decode_parents(perm.order, bits.bits),
+                                      prior, cache)
+            if tracker is not None:
+                tracker.update(perm, bits, score)
+            scores.append(score)
+        fitness[t] = max(scores)
+    return fitness
 
 
 def _mean_fitness(perm_pop: Subpopulation, bin_pop: Subpopulation) -> float:
     return float(np.concatenate([perm_pop.fitness, bin_pop.fitness]).mean())
 
 
-def _initial_evaluation(perm_pop, bin_pop, data, prior, cache, rng, executor,
-                        tracker) -> int:
-    size = len(perm_pop)
-    idx_for_perm = rng.integers(0, len(bin_pop), size=size)
-    idx_for_bin = rng.integers(0, len(perm_pop), size=len(bin_pop))
-    perm_pairs = [(perm_pop.members[t], bin_pop.members[int(idx_for_perm[t])])
-                  for t in range(size)]
-    bin_pairs = [(perm_pop.members[int(idx_for_bin[t])], bin_pop.members[t])
-                 for t in range(len(bin_pop))]
-    perm_scores = _score_pairs(perm_pairs, data, prior, cache, executor)
-    bin_scores = _score_pairs(bin_pairs, data, prior, cache, executor)
-    perm_pop.fitness = np.asarray(perm_scores, dtype=float)
-    bin_pop.fitness = np.asarray(bin_scores, dtype=float)
-    for (perm, bits), s in zip(perm_pairs + bin_pairs, perm_scores + bin_scores):
-        tracker.update(perm, bits, s)
-    return len(perm_pairs) + len(bin_pairs)
-
-
 def _species_generation(pop, other_pop, data, prior, cache, rng, cfg, p_mb,
-                        executor, tracker) -> tuple[Subpopulation, int]:
+                        tracker) -> Subpopulation:
     size = len(pop)
     pool = tournament_select(pop, rng)
     offspring = []
@@ -410,40 +389,23 @@ def _species_generation(pop, other_pop, data, prior, cache, rng, cfg, p_mb,
             c1 = bit_flip_mutation(c1, p_mb, rng)
             c2 = bit_flip_mutation(c2, p_mb, rng)
         offspring.extend((c1, c2))
-
-    # Collaborator indices are drawn sequentially so that parallel scoring
-    # cannot perturb the rng stream.
-    rand_idx = rng.integers(0, len(other_pop), size=size)
-    best_partner = other_pop.best
-    pairs = []
-    for t, child in enumerate(offspring):
-        random_partner = other_pop.members[int(rand_idx[t])]
-        if pop.species == PERMUTATION:
-            pairs.append((child, best_partner))
-            pairs.append((child, random_partner))
-        else:
-            pairs.append((best_partner, child))
-            pairs.append((random_partner, child))
-    scores = _score_pairs(pairs, data, prior, cache, executor)
-    fitness = np.maximum(scores[0::2], scores[1::2])
-    for (perm, bits), s in zip(pairs, scores):
-        tracker.update(perm, bits, s)
-    return elitist_replace(pop, offspring, fitness), len(pairs)
+    fitness = evaluate(offspring, pop.species, other_pop, data, prior, cache,
+                       rng, tracker)
+    return elitist_replace(pop, offspring, fitness)
 
 
-def evolve(data: Dataset, cfg: GaConfig, prior: PriorSpec | None = None,
-           use_cache: bool = True) -> tuple[EvolutionState, ConvergenceTrace]:
+def evolve(data: Dataset, cfg: GaConfig, prior: PriorSpec | None = None
+           ) -> tuple[EvolutionState, ConvergenceTrace]:
     """Run the full coevolution loop and return the final state and trace.
 
-    Deterministic given (data, cfg.seed) in sequential mode; with
-    parallel_eval the trajectory and trace are unchanged because all rng
-    draws happen before fitness values are computed.
+    Deterministic given (data, cfg.seed): evaluation is sequential and
+    draws from the same rng as the operators.
     """
     cfg.validate()
     if data.n_rows == 0:
         raise EmptyDataError("cannot evolve structures on a dataset with no rows")
     prior = prior or PriorSpec()
-    cache = LocalScoreCache() if use_cache else None
+    cache = LocalScoreCache()
     n = data.n_cols
     E = triangular_size(n)
     p_mb = cfg.p_mb if cfg.p_mb is not None else (1.0 / E if E else 0.0)
@@ -455,26 +417,20 @@ def evolve(data: Dataset, cfg: GaConfig, prior: PriorSpec | None = None,
     tracker = _BestTracker()
     trace = ConvergenceTrace()
 
-    executor = None
-    if cfg.parallel_eval:
-        executor = ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1))
-    try:
-        evals = _initial_evaluation(perm_pop, bin_pop, data, prior, cache, rng,
-                                    executor, tracker)
-        trace.append(TraceRecord(0, tracker.score,
-                                 _mean_fitness(perm_pop, bin_pop), evals))
-        for gen in range(1, cfg.generations + 1):
-            perm_pop, e1 = _species_generation(perm_pop, bin_pop, data, prior,
-                                               cache, rng, cfg, p_mb, executor,
-                                               tracker)
-            bin_pop, e2 = _species_generation(bin_pop, perm_pop, data, prior,
-                                              cache, rng, cfg, p_mb, executor,
-                                              tracker)
-            trace.append(TraceRecord(gen, tracker.score,
-                                     _mean_fitness(perm_pop, bin_pop), e1 + e2))
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    # Both species are scored before either records fitness, so generation
+    # 0 pairs every member with a random partner only.
+    perm_fitness = evaluate(perm_pop.members, PERMUTATION, bin_pop, data, prior,
+                            cache, rng, tracker)
+    bin_fitness = evaluate(bin_pop.members, BINARY, perm_pop, data, prior,
+                           cache, rng, tracker)
+    perm_pop.fitness, bin_pop.fitness = perm_fitness, bin_fitness
+    trace.append(tracker.record(0, _mean_fitness(perm_pop, bin_pop)))
+    for gen in range(1, cfg.generations + 1):
+        perm_pop = _species_generation(perm_pop, bin_pop, data, prior, cache,
+                                       rng, cfg, p_mb, tracker)
+        bin_pop = _species_generation(bin_pop, perm_pop, data, prior, cache,
+                                      rng, cfg, p_mb, tracker)
+        trace.append(tracker.record(gen, _mean_fitness(perm_pop, bin_pop)))
 
     state = EvolutionState(cfg.generations, perm_pop, bin_pop,
                            tracker.solution(), trace)

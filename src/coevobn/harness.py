@@ -31,13 +31,23 @@ from .bayesnet import (
     save_structure,
 )
 from .encoding import decode_parents
-from .errors import SchemaError, ValidationError
+from .errors import (
+    SchemaError,
+    ValidationError,
+    check_keys,
+    check_number,
+    config_from_dict,
+)
 from .evolution import GaConfig, evolve
 from .scoring import PriorSpec, bde_log_score
 
 _STREAM_DATASET = 0
 _STREAM_CCGA = 1
 _STREAM_K2 = 2
+
+# generator key -> (integer?, default); "nodes" has no default
+_GENERATOR_FIELDS = {"nodes": (True, None), "max_arity": (True, 2),
+                     "edge_density": (False, 0.2), "seed": (True, 0)}
 
 
 def derive_seed(master: int, *keys: int) -> int:
@@ -103,26 +113,29 @@ class ExperimentConfig:
             raise ValidationError(
                 "exactly one of network_file and generator must be given"
             )
-        if self.runs < 1:
-            raise ValidationError(f"runs must be >= 1, got {self.runs}")
-        if not self.sample_sizes or any(s < 1 for s in self.sample_sizes):
-            raise ValidationError("sample_sizes must be a non-empty list of >= 1")
-        if self.master_seed < 0:
-            raise ValidationError("master_seed must be >= 0")
+        if self.generator is not None:
+            check_keys(self.generator, _GENERATOR_FIELDS, "generator")
+            if "nodes" not in self.generator:
+                raise ValidationError("generator must give 'nodes'")
+            for name, value in self.generator.items():
+                check_number(f"generator {name}", value,
+                             integer=_GENERATOR_FIELDS[name][0])
+        check_number("runs", self.runs, integer=True, low=1)
+        check_number("master_seed", self.master_seed, integer=True, low=0)
+        if not isinstance(self.sample_sizes, list) or not self.sample_sizes:
+            raise ValidationError(
+                f"sample_sizes must be a non-empty list, got {self.sample_sizes!r}")
+        for size in self.sample_sizes:
+            check_number("sample size", size, integer=True, low=1)
         self.ga.validate()
         self.k2.validate()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        ga = GaConfig(**doc.get("ga", {}))
-        k2 = K2Config(**doc.get("k2", {}))
-        known = {"network_file", "generator", "sample_sizes", "runs",
-                 "master_seed", "out_dir", "deterministic_output"}
-        extra = set(doc) - known - {"ga", "k2"}
-        if extra:
-            raise ValidationError(f"unknown experiment config fields: {sorted(extra)}")
-        kwargs = {k: doc[k] for k in known if k in doc}
-        return cls(ga=ga, k2=k2, **kwargs)
+        cfg = config_from_dict(cls, doc, "experiment config")
+        cfg.ga = config_from_dict(GaConfig, doc.get("ga", {}), "ga config")
+        cfg.k2 = config_from_dict(K2Config, doc.get("k2", {}), "k2 config")
+        return cfg
 
 
 @dataclass
@@ -195,13 +208,10 @@ class ComparisonReport:
 def _ground_truth(cfg: ExperimentConfig) -> BayesianNetwork:
     if cfg.network_file is not None:
         return load_network(cfg.network_file)
-    gen = dict(cfg.generator)
-    return random_network(
-        n=int(gen.pop("nodes")),
-        max_arity=int(gen.pop("max_arity", 2)),
-        edge_density=float(gen.pop("edge_density", 0.2)),
-        seed=int(gen.pop("seed", 0)),
-    )
+    gen = {name: default for name, (_, default) in _GENERATOR_FIELDS.items()}
+    gen.update(cfg.generator)
+    return random_network(gen["nodes"], gen["max_arity"], gen["edge_density"],
+                          gen["seed"])
 
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:

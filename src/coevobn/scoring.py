@@ -10,7 +10,6 @@ oracle for the closed form.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,30 +54,25 @@ class SufficientStats:
 
 
 class LocalScoreCache:
-    """Memo of (node, sorted parent tuple) -> local log-score.
-
-    Inserts are idempotent (a key always maps to the same value), so
-    concurrent lookups and stores are safe; hits/misses are tracked.
+    """Memo of (node, sorted parent tuple) -> local log-score, with hit and
+    miss counts. Not synchronized: share one cache within one thread only.
     """
 
     def __init__(self):
         self._table: dict[tuple[int, tuple[int, ...]], float] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get(self, node: int, parent_set: tuple[int, ...]) -> float | None:
-        with self._lock:
-            value = self._table.get((node, parent_set))
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return value
+        value = self._table.get((node, parent_set))
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
 
     def put(self, node: int, parent_set: tuple[int, ...], value: float) -> None:
-        with self._lock:
-            self._table[(node, parent_set)] = value
+        self._table[(node, parent_set)] = value
 
     def __len__(self) -> int:
         return len(self._table)

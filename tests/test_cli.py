@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from coevobn.cli import cli_main
 
 
@@ -109,8 +111,30 @@ class TestPipeline:
         assert code == 2
 
 
+class TestLearnCcgaConfig:
+    @pytest.mark.parametrize("doc, field", [
+        ({"popsize": 6}, "popsize"),
+        ({"generations": 2, "parallel_eval": True}, "parallel_eval"),
+    ])
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path, doc, field):
+        data = tmp_path / "data.csv"
+        data.write_text("A:2,B:2\n0,1\n1,1\n")
+        cfg = tmp_path / "ga.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "learn-ccga", "--data", str(data),
+                           "--config", str(cfg))
+        assert code == 2
+        assert field in err
+
+    def test_no_cache_flag_is_gone(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("A:2,B:2\n0,1\n1,1\n")
+        code, _, _ = run(capsys, "learn-ccga", "--data", str(data), "--no-cache")
+        assert code == 2
+
+
 class TestCompare:
-    def write_config(self, tmp_path, out_dir):
+    def write_config(self, tmp_path, out_dir, **overrides):
         cfg = {
             "generator": {"nodes": 4, "max_arity": 2, "edge_density": 0.4,
                           "seed": 11},
@@ -121,6 +145,7 @@ class TestCompare:
             "k2": {"max_parents": 3},
             "out_dir": str(out_dir),
         }
+        cfg.update(overrides)
         path = tmp_path / "experiment.json"
         path.write_text(json.dumps(cfg))
         return path
@@ -148,3 +173,35 @@ class TestCompare:
         code, _, err = run(capsys, "compare")
         assert code == 2
         assert "config" in err
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"ga": {"generations": 3, "popsize": 6}}, "popsize"),
+        ({"ga": {"parallel_eval": True}}, "parallel_eval"),
+        ({"k2": {"max_parent": 3}}, "max_parent"),
+    ])
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path, overrides,
+                                        field):
+        cfg = self.write_config(tmp_path, tmp_path / "out", **overrides)
+        code, _, err = run(capsys, "compare", "--config", str(cfg))
+        assert code == 2
+        assert field in err
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"runs": "2"}, "runs"),
+        ({"runs": True}, "runs"),
+        ({"sample_sizes": 1000}, "sample_sizes"),
+        ({"sample_sizes": [100.5]}, "sample size"),
+        ({"master_seed": 1.5}, "master_seed"),
+        ({"ga": {"generations": "3"}}, "generations"),
+        ({"ga": {"p_c": "0.6"}}, "p_c"),
+        ({"k2": {"max_parents": None}}, "max_parents"),
+        ({"generator": {"nodes": "4"}}, "nodes"),
+        ({"generator": {"nodes": 4, "edge_density": "0.4"}}, "edge_density"),
+    ])
+    def test_wrong_typed_value_is_usage_error(self, capsys, tmp_path, overrides,
+                                              field):
+        cfg = self.write_config(tmp_path, tmp_path / "out", **overrides)
+        code, _, err = run(capsys, "compare", "--config", str(cfg))
+        assert code == 2
+        assert field in err
+        assert not (tmp_path / "out" / "runs.csv").exists()

@@ -143,6 +143,18 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match="unknown"):
             ExperimentConfig.from_dict({"generator": {"nodes": 3}, "typo": 1})
 
+    def test_unknown_generator_field_rejected(self, tmp_path):
+        cfg = ExperimentConfig(generator={"nodes": 3, "desnity": 0.9},
+                               out_dir=str(tmp_path))
+        with pytest.raises(ValidationError, match="desnity"):
+            cfg.validate()
+
+    def test_generator_requires_nodes(self, tmp_path):
+        cfg = ExperimentConfig(generator={"edge_density": 0.4},
+                               out_dir=str(tmp_path))
+        with pytest.raises(ValidationError, match="nodes"):
+            cfg.validate()
+
 
 class TestRunComparison:
     def test_outputs_and_self_consistency(self, tmp_path):
