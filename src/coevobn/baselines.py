@@ -16,6 +16,7 @@ from .errors import EmptyDataError, ValidationError, check_number
 from .scoring import LocalScoreCache, PriorSpec, bde_log_score, local_log_score
 
 ENUMERATION_LIMIT = 5
+COUNT_LIMIT = 500           # count_dags(500) has 38,602 digits
 EXHAUSTIVE_SEARCH_LIMIT = 4
 
 
@@ -30,7 +31,7 @@ class K2Config:
 
     def validate(self) -> None:
         check_number("max_parents", self.max_parents, integer=True, low=0)
-        check_number("seed", self.seed, integer=True)
+        check_number("seed", self.seed, integer=True, low=0)
 
 
 def _resolve_ordering(cfg: K2Config, n: int) -> tuple[int, ...]:
@@ -93,26 +94,22 @@ def k2_learn(data: Dataset, cfg: K2Config, prior: PriorSpec | None = None,
     return dag, bde_log_score(data, dag, prior, cache)
 
 
-_DAG_COUNTS: dict[int, int] = {0: 1}
+_DAG_COUNTS: list[int] = [1]   # _DAG_COUNTS[m] = count_dags(m), m = 0, 1, ...
 
 
 def count_dags(n: int) -> int:
     """Exact number of labeled DAGs on n nodes, by inclusion-exclusion
     over the nodes with no incoming edges (exact integer arithmetic)."""
-    if n < 1:
-        raise ValidationError(f"node count must be >= 1, got {n}")
-    return _count_recursive(n)
-
-
-def _count_recursive(n: int) -> int:
-    if n in _DAG_COUNTS:
-        return _DAG_COUNTS[n]
-    total = 0
-    for k in range(1, n + 1):
-        term = comb(n, k) * (1 << (k * (n - k))) * _count_recursive(n - k)
-        total += term if k % 2 == 1 else -term
-    _DAG_COUNTS[n] = total
-    return total
+    if not 1 <= n <= COUNT_LIMIT:
+        raise ValidationError(f"node count must lie in [1, {COUNT_LIMIT}], got {n}")
+    while len(_DAG_COUNTS) <= n:
+        m = len(_DAG_COUNTS)
+        total = 0
+        for k in range(1, m + 1):
+            term = (comb(m, k) * _DAG_COUNTS[m - k]) << (k * (m - k))
+            total += term if k % 2 == 1 else -term
+        _DAG_COUNTS.append(total)
+    return _DAG_COUNTS[n]
 
 
 def enumerate_dags(n: int) -> Iterator[Dag]:

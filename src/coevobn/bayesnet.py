@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import ParseError, SchemaError, ValidationError, check_number
 
 
 @dataclass(frozen=True)
@@ -282,6 +282,7 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
+    check_number("seed", seed, integer=True, low=0)
     rng = np.random.default_rng(seed)
     arities = net.arities
     values = np.zeros((count, net.n), dtype=np.int64)
@@ -305,6 +306,7 @@ def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
         raise ValidationError(f"edge_density must lie in [0, 1], got {edge_density}")
     if max_arity < 2:
         raise ValidationError(f"max_arity must be >= 2, got {max_arity}")
+    check_number("seed", seed, integer=True, low=0)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     arities = rng.integers(2, max_arity + 1, size=n)

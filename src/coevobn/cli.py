@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from .baselines import (
@@ -29,7 +30,7 @@ from .bayesnet import (
     save_network,
     save_structure,
 )
-from .encoding import decode_parents
+from .encoding import combine, decode
 from .errors import (
     CoevoBnError,
     EmptyDataError,
@@ -47,61 +48,71 @@ USAGE_ERRORS = (ValidationError, ParseError, SchemaError, EmptyDataError,
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="random seed")
-    common.add_argument("--config", type=str, default=None,
-                        help="JSON config file")
-    common.add_argument("--out", type=str, default=None,
-                        help="output directory")
-
     parser = argparse.ArgumentParser(
         prog="coevobn",
         description="Bayesian network structure learning toolkit",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("random-net", parents=[common],
+    p = sub.add_parser("random-net",
                        help="generate a synthetic ground-truth network")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--max-arity", type=int, default=2)
     p.add_argument("--density", type=float, default=0.2)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out-file", type=str, default=None)
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample",
                        help="draw a dataset from a network by ancestral sampling")
     p.add_argument("--net", type=str, required=True)
     p.add_argument("--rows", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out-file", type=str, default=None)
 
-    p = sub.add_parser("score", parents=[common],
+    p = sub.add_parser("score",
                        help="BDe log-score of a stored structure on a dataset")
     p.add_argument("--net", type=str, required=True)
     p.add_argument("--data", type=str, required=True)
 
-    p = sub.add_parser("learn-ccga", parents=[common],
+    p = sub.add_parser("learn-ccga",
                        help="learn a structure with the coevolutionary GA")
     p.add_argument("--data", type=str, required=True)
+    p.add_argument("--config", type=str, default=None,
+                   help="JSON file of GaConfig fields")
+    p.add_argument("--seed", type=int, default=None,
+                   help="random seed (default: the config's seed, else 0)")
+    p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--fit-cpts", action="store_true",
-                   help="also export the structure with posterior-mean CPTs")
+                   help="with --out, also export the structure with "
+                        "posterior-mean CPTs")
 
-    p = sub.add_parser("learn-k2", parents=[common],
+    p = sub.add_parser("learn-k2",
                        help="learn a structure with greedy K2 (random ordering)")
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--max-parents", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--fit-cpts", action="store_true",
-                   help="also export the structure with posterior-mean CPTs")
+                   help="with --out, also export the structure with "
+                        "posterior-mean CPTs")
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare",
                        help="paired CCGA vs K2 experiment from a JSON config")
+    p.add_argument("--config", type=str, required=True,
+                   help="JSON experiment config")
+    p.add_argument("--seed", type=int, default=None,
+                   help="master seed (default: the config's master_seed)")
+    p.add_argument("--out", type=str, default=None,
+                   help="output directory (default: the config's out_dir)")
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate",
                        help="enumerate all DAGs on n nodes, optionally scoring them")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--data", type=str, default=None)
-    p.add_argument("--out-file", type=str, default=None)
+    p.add_argument("--out-file", type=str, default=None,
+                   help="with --data, write the scores here")
 
-    p = sub.add_parser("count-dags", parents=[common],
+    p = sub.add_parser("count-dags",
                        help="exact number of labeled DAGs on n nodes")
     p.add_argument("n", type=int)
 
@@ -119,25 +130,31 @@ def _load_json_config(path) -> dict:
         ) from exc
 
 
-def _ga_config(args) -> GaConfig:
-    doc = _load_json_config(args.config) if args.config else {}
-    cfg = config_from_dict(GaConfig, doc, "ga config")
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
-
-
-def _out_dir(args) -> Path | None:
+def _save_learned(args, prefix: str, data, dag: Dag, score: float,
+                  trace=None) -> int:
+    """Print the best score; with --out, write <prefix>_structure.json (and
+    <prefix>_trace.csv when a trace is given), and with --fit-cpts also
+    <prefix>_network.json."""
+    print(f"best_score={score:.6f}")
     if args.out is None:
-        return None
+        return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    written = [out / f"{prefix}_structure.json"]
+    save_structure(data.variables, dag, written[0])
+    if trace is not None:
+        written.append(out / f"{prefix}_trace.csv")
+        trace.write_csv(written[1])
+    print("wrote " + " and ".join(map(str, written)))
+    if args.fit_cpts:
+        network = out / f"{prefix}_network.json"
+        save_network(fit_network(data, dag), network)
+        print(f"wrote {network}")
+    return 0
 
 
 def _cmd_random_net(args) -> int:
-    net = random_network(args.nodes, args.max_arity, args.density,
-                         args.seed if args.seed is not None else 0)
+    net = random_network(args.nodes, args.max_arity, args.density, args.seed)
     if args.out_file:
         save_network(net, args.out_file)
         print(f"wrote {args.out_file} ({net.n} nodes, {net.dag.edge_count} edges)")
@@ -148,8 +165,7 @@ def _cmd_random_net(args) -> int:
 
 def _cmd_sample(args) -> int:
     net = load_network(args.net)
-    data = ancestral_sample(net, args.rows,
-                            args.seed if args.seed is not None else 0)
+    data = ancestral_sample(net, args.rows, args.seed)
     if args.out_file:
         save_dataset(data, args.out_file)
         print(f"wrote {args.out_file} ({data.n_rows} rows)")
@@ -165,41 +181,24 @@ def _cmd_score(args) -> int:
 
 def _cmd_learn_ccga(args) -> int:
     data = load_dataset(args.data)
-    cfg = _ga_config(args)
+    doc = _load_json_config(args.config) if args.config else {}
+    cfg = config_from_dict(GaConfig, doc, "ga config")
+    if args.seed is not None:
+        cfg.seed = args.seed
     state, trace = evolve(data, cfg)
     best = state.best_so_far
-    print(f"best_score={best.log_score:.6f}")
-    out = _out_dir(args)
-    if out is not None:
-        dag = Dag(data.n_cols, decode_parents(best.perm.order, best.bits.bits))
-        save_structure(data.variables, dag, out / "ccga_structure.json")
-        trace.write_csv(out / "ccga_trace.csv")
-        print(f"wrote {out / 'ccga_structure.json'} and {out / 'ccga_trace.csv'}")
-        if args.fit_cpts:
-            save_network(fit_network(data, dag), out / "ccga_network.json")
-            print(f"wrote {out / 'ccga_network.json'}")
-    return 0
+    return _save_learned(args, "ccga", data, decode(combine(best.perm, best.bits)),
+                         best.log_score, trace)
 
 
 def _cmd_learn_k2(args) -> int:
     data = load_dataset(args.data)
-    cfg = K2Config(max_parents=args.max_parents,
-                   seed=args.seed if args.seed is not None else 0)
-    dag, score = k2_learn(data, cfg)
-    print(f"best_score={score:.6f}")
-    out = _out_dir(args)
-    if out is not None:
-        save_structure(data.variables, dag, out / "k2_structure.json")
-        print(f"wrote {out / 'k2_structure.json'}")
-        if args.fit_cpts:
-            save_network(fit_network(data, dag), out / "k2_network.json")
-            print(f"wrote {out / 'k2_network.json'}")
-    return 0
+    dag, score = k2_learn(data, K2Config(max_parents=args.max_parents,
+                                         seed=args.seed))
+    return _save_learned(args, "k2", data, dag, score)
 
 
 def _cmd_compare(args) -> int:
-    if not args.config:
-        raise ValidationError("compare requires --config <json>")
     cfg = ExperimentConfig.from_dict(_load_json_config(args.config))
     if args.out is not None:
         cfg.out_dir = args.out
@@ -243,7 +242,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count_dags(args) -> int:
-    print(count_dags(args.n))
+    print(Decimal(count_dags(args.n)))  # str(int) stops at 4300 digits
     return 0
 
 
@@ -263,6 +262,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # options that do nothing without another one
+        if getattr(args, "fit_cpts", False) and args.out is None:
+            parser.error("--fit-cpts needs --out")
+        if args.command == "enumerate" and args.out_file and args.data is None:
+            parser.error("--out-file needs --data")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

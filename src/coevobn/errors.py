@@ -58,6 +58,8 @@ def check_keys(doc, known, what: str) -> dict:
     return doc
 
 
-def config_from_dict(cls, doc, what: str):
-    """Build the config dataclass `cls` from a JSON object of its fields."""
-    return cls(**check_keys(doc, [f.name for f in dataclasses.fields(cls)], what))
+def config_from_dict(cls, doc, what: str, exclude=()):
+    """Build the config dataclass `cls` from a JSON object of its fields,
+    leaving out the fields named in `exclude`."""
+    known = [f.name for f in dataclasses.fields(cls) if f.name not in exclude]
+    return cls(**check_keys(doc, known, what))

@@ -49,7 +49,7 @@ class GaConfig:
     def validate(self) -> None:
         check_number("generations", self.generations, integer=True, low=0)
         check_number("population_size", self.population_size, integer=True)
-        check_number("seed", self.seed, integer=True)
+        check_number("seed", self.seed, integer=True, low=0)
         if self.population_size < 2 or self.population_size % 2 != 0:
             raise ValidationError(
                 f"population_size must be even and >= 2 (tournament pairing), "

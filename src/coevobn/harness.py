@@ -30,7 +30,7 @@ from .bayesnet import (
     random_network,
     save_structure,
 )
-from .encoding import decode_parents
+from .encoding import combine, decode
 from .errors import (
     SchemaError,
     ValidationError,
@@ -106,7 +106,6 @@ class ExperimentConfig:
     ga: GaConfig = field(default_factory=GaConfig)
     k2: K2Config = field(default_factory=K2Config)
     out_dir: str = "results"
-    deterministic_output: bool = True    # zero the seconds column in runs.csv
 
     def validate(self) -> None:
         if (self.network_file is None) == (self.generator is None):
@@ -133,8 +132,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         cfg = config_from_dict(cls, doc, "experiment config")
-        cfg.ga = config_from_dict(GaConfig, doc.get("ga", {}), "ga config")
-        cfg.k2 = config_from_dict(K2Config, doc.get("k2", {}), "k2 config")
+        # every run's GA and K2 seeds derive from master_seed, so the blocks
+        # take no seed of their own
+        cfg.ga = config_from_dict(GaConfig, doc.get("ga", {}), "ga config",
+                                  exclude=("seed",))
+        cfg.k2 = config_from_dict(K2Config, doc.get("k2", {}), "k2 config",
+                                  exclude=("seed",))
         return cfg
 
 
@@ -219,9 +222,9 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     mean-convergence traces, and best learned structures to cfg.out_dir.
 
     Incomplete experiments leave the rows completed so far flushed in
-    runs.csv. Per-run wall times go to timings.csv when
-    deterministic_output is set (runs.csv then carries zeros so reruns
-    with the same seed are byte-identical).
+    runs.csv. Per-run wall times go to timings.csv only, so that reruns
+    with the same seed give byte-identical runs.csv and report.json. The
+    seeds in cfg.ga and cfg.k2 are replaced by per-run derived seeds.
     """
     cfg.validate()
     out = Path(cfg.out_dir)
@@ -233,27 +236,17 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     all_results: list[RunResult] = []
     single_size = len(cfg.sample_sizes) == 1
 
-    runs_f = open(out / "runs.csv", "w", newline="")
-    timings_f = open(out / "timings.csv", "w", newline="") \
-        if cfg.deterministic_output else None
-    try:
-        runs_f.write("algorithm,run,dataset,best_score,seconds\n")
-        if timings_f is not None:
-            timings_f.write("algorithm,run,dataset,seconds\n")
+    with open(out / "runs.csv", "w", newline="") as runs_f, \
+            open(out / "timings.csv", "w", newline="") as timings_f:
+        runs_f.write("algorithm,run,dataset,best_score\n")
+        timings_f.write("algorithm,run,dataset,seconds\n")
 
         def emit(result: RunResult) -> None:
-            shown = 0.0 if cfg.deterministic_output else result.seconds
-            runs_f.write(
-                f"{result.algorithm},{result.run_index},{result.dataset_id},"
-                f"{result.best_score:.6f},{shown:.6f}\n"
-            )
+            key = f"{result.algorithm},{result.run_index},{result.dataset_id}"
+            runs_f.write(f"{key},{result.best_score:.6f}\n")
             runs_f.flush()
-            if timings_f is not None:
-                timings_f.write(
-                    f"{result.algorithm},{result.run_index},{result.dataset_id},"
-                    f"{result.seconds:.6f}\n"
-                )
-                timings_f.flush()
+            timings_f.write(f"{key},{result.seconds:.6f}\n")
+            timings_f.flush()
             all_results.append(result)
 
         for size in cfg.sample_sizes:
@@ -273,10 +266,9 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
                 state, trace = evolve(data, ga_cfg, prior)
                 ccga_seconds = time.perf_counter() - t0
                 best = state.best_so_far
-                ccga_dag = Dag._unchecked(
-                    data.n_cols, decode_parents(best.perm.order, best.bits.bits))
                 result = RunResult("ccga", run, dataset_id, best.log_score,
-                                   ccga_seconds, ccga_dag)
+                                   ccga_seconds,
+                                   decode(combine(best.perm, best.bits)))
                 emit(result)
                 ccga_results.append(result)
                 traces.append(trace)
@@ -322,10 +314,6 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
             _save_best_structure(out / f"best_ccga_{size}.json", ground,
                                  ccga_results)
             _save_best_structure(out / f"best_k2_{size}.json", ground, k2_results)
-    finally:
-        runs_f.close()
-        if timings_f is not None:
-            timings_f.close()
 
     report = ComparisonReport(cfg.master_seed, cfg.runs, entries, all_results)
     (out / "report.json").write_text(

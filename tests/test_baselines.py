@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coevobn.baselines import COUNT_LIMIT
 from coevobn import (
     Dag,
     EmptyDataError,
@@ -33,6 +34,10 @@ class TestCountDags:
     def test_requires_positive_n(self):
         with pytest.raises(ValidationError):
             count_dags(0)
+
+    def test_refuses_more_than_the_limit(self):
+        with pytest.raises(ValidationError, match=str(COUNT_LIMIT)):
+            count_dags(COUNT_LIMIT + 1)
 
 
 class TestEnumerateDags:

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+from decimal import Decimal
 
 import pytest
 
+from coevobn.baselines import COUNT_LIMIT, count_dags
 from coevobn.cli import cli_main
 
 
@@ -23,15 +25,73 @@ class TestCountDags:
         code, out, _ = run(capsys, "count-dags", "1")
         assert code == 0 and out.strip() == "1"
 
+    def test_prints_counts_beyond_the_int_string_limit(self, capsys):
+        code, out, _ = run(capsys, "count-dags", "170")
+        assert code == 0
+        assert out.strip() == str(Decimal(count_dags(170)))
+        assert len(out.strip()) > 4300
+
+    def test_above_limit_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "count-dags", str(COUNT_LIMIT + 1))
+        assert code == 2
+        assert str(COUNT_LIMIT) in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
 
-    def test_unknown_flag(self, capsys):
-        code, _, _ = run(capsys, "count-dags", "3", "--bogus")
+    @pytest.mark.parametrize("argv", [
+        ["count-dags", "3", "--bogus"],
+        ["count-dags", "3", "--seed", "1"],
+        ["score", "--net", "{net}", "--data", "{data}", "--config", "{cfg}"],
+        ["enumerate", "--nodes", "3", "--out", "{out}"],
+        ["learn-k2", "--data", "{data}", "--config", "{cfg}"],
+        ["--seed", "5", "count-dags", "3"],
+    ], ids=["bogus", "count-dags-seed", "score-config", "enumerate-out",
+            "learn-k2-config", "seed-before-command"])
+    def test_unknown_flag(self, capsys, tmp_path, argv):
+        paths = {name: tmp_path / name for name in ("net", "data", "cfg", "out")}
+        run(capsys, "random-net", "--nodes", "3", "--out-file", str(paths["net"]))
+        run(capsys, "sample", "--net", str(paths["net"]), "--rows", "20",
+            "--out-file", str(paths["data"]))
+        paths["cfg"].write_text("{}")
+        code, _, _ = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["learn-k2", "--data", "d.csv", "--fit-cpts"],
+        ["learn-ccga", "--data", "d.csv", "--fit-cpts"],
+        ["enumerate", "--nodes", "3", "--out-file", "scores.csv"],
+    ], ids=["learn-k2", "learn-ccga", "enumerate"])
+    def test_flag_without_its_partner(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "needs" in err
+
+    @pytest.mark.parametrize("command", ["random-net", "sample", "learn-ccga",
+                                         "learn-k2", "compare"])
+    def test_negative_seed(self, capsys, tmp_path, command):
+        net, data = tmp_path / "net.json", tmp_path / "data.csv"
+        run(capsys, "random-net", "--nodes", "3", "--out-file", str(net))
+        run(capsys, "sample", "--net", str(net), "--rows", "20",
+            "--out-file", str(data))
+        experiment = tmp_path / "experiment.json"
+        experiment.write_text(json.dumps({
+            "generator": {"nodes": 3, "seed": -1}, "runs": 1,
+            "ga": {"generations": 1, "population_size": 2},
+            "out_dir": str(tmp_path / "out")}))
+        argv = {
+            "random-net": ["--nodes", "3", "--seed", "-1"],
+            "sample": ["--net", str(net), "--rows", "5", "--seed", "-1"],
+            "learn-ccga": ["--data", str(data), "--seed", "-1"],
+            "learn-k2": ["--data", str(data), "--seed", "-1"],
+            "compare": ["--config", str(experiment)],
+        }[command]
+        code, _, err = run(capsys, command, *argv)
+        assert code == 2
+        assert "seed" in err
 
     def test_no_arguments(self, capsys):
         assert cli_main([]) == 2
@@ -132,6 +192,22 @@ class TestLearnCcgaConfig:
         code, _, _ = run(capsys, "learn-ccga", "--data", str(data), "--no-cache")
         assert code == 2
 
+    def test_seed_flag_overrides_config_seed(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("A:2,B:2,C:2\n0,1,1\n1,1,0\n1,0,0\n0,0,1\n")
+        outputs = []
+        for doc, flags in [({"seed": 4}, []), ({"seed": 0}, ["--seed", "4"])]:
+            cfg = tmp_path / "ga.json"
+            cfg.write_text(json.dumps({"generations": 2, "population_size": 4,
+                                       **doc}))
+            out = tmp_path / f"out{len(outputs)}"
+            code, _, _ = run(capsys, "learn-ccga", "--data", str(data),
+                             "--config", str(cfg), "--out", str(out), *flags)
+            assert code == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("ccga_structure.json", "ccga_trace.csv")])
+        assert outputs[0] == outputs[1]
+
 
 class TestCompare:
     def write_config(self, tmp_path, out_dir, **overrides):
@@ -178,6 +254,9 @@ class TestCompare:
         ({"ga": {"generations": 3, "popsize": 6}}, "popsize"),
         ({"ga": {"parallel_eval": True}}, "parallel_eval"),
         ({"k2": {"max_parent": 3}}, "max_parent"),
+        ({"deterministic_output": False}, "deterministic_output"),
+        ({"ga": {"seed": 1}}, "seed"),
+        ({"k2": {"seed": 1}}, "seed"),
     ])
     def test_unknown_key_is_usage_error(self, capsys, tmp_path, overrides,
                                         field):

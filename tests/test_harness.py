@@ -163,9 +163,16 @@ class TestRunComparison:
                      "timings.csv", "best_ccga_120.json", "best_k2_120.json"):
             assert (tmp_path / name).exists()
 
+        with open(tmp_path / "timings.csv") as f:
+            timings = list(csv.DictReader(f))
+        assert len(timings) == 3 * 3
+        assert any(float(row["seconds"]) > 0 for row in timings)
+
         # report statistics must be recomputable from runs.csv
         by_algorithm = {}
         with open(tmp_path / "runs.csv") as f:
+            assert f.readline() == "algorithm,run,dataset,best_score\n"
+            f.seek(0)
             for row in csv.DictReader(f):
                 by_algorithm.setdefault(row["algorithm"], []).append(
                     float(row["best_score"]))
@@ -225,14 +232,6 @@ class TestRunComparison:
                           generator=None, network_file=str(tmp_path / "truth.json"))
         report = run_comparison(cfg)
         assert len(report.entries) == 1
-
-    def test_real_seconds_mode(self, tmp_path):
-        cfg = tiny_config(tmp_path, runs=1, deterministic_output=False)
-        run_comparison(cfg)
-        assert not (tmp_path / "timings.csv").exists()
-        with open(tmp_path / "runs.csv") as f:
-            rows = list(csv.DictReader(f))
-        assert any(float(row["seconds"]) > 0 for row in rows)
 
     def test_multiple_sample_sizes_make_suffixed_traces(self, tmp_path):
         cfg = tiny_config(tmp_path, runs=1, sample_sizes=[60, 90])
