@@ -80,8 +80,6 @@ from .harness import (
 )
 from .scoring import (
     LocalScoreCache,
-    PriorSpec,
-    SufficientStats,
     bde_log_score,
     count_stats,
     fit_network,

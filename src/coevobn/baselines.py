@@ -11,13 +11,14 @@ from typing import Iterator
 import numpy as np
 
 from .bayesnet import Dag, Dataset
-from .encoding import PermutationGenome, triangular_size
+from .encoding import PermutationGenome, decode_parents, triangular_size
 from .errors import EmptyDataError, ValidationError, check_number
-from .scoring import LocalScoreCache, PriorSpec, bde_log_score, local_log_score
+from .scoring import LocalScoreCache, bde_log_score, local_log_score
 
 ENUMERATION_LIMIT = 5
 COUNT_LIMIT = 500           # count_dags(500) has 38,602 digits
 EXHAUSTIVE_SEARCH_LIMIT = 4
+TIE_TOLERANCE = 1e-9        # exhaustive_best: scores this close to the optimum tie
 
 
 @dataclass
@@ -51,7 +52,7 @@ def _resolve_ordering(cfg: K2Config, n: int) -> tuple[int, ...]:
     return order
 
 
-def k2_learn(data: Dataset, cfg: K2Config, prior: PriorSpec | None = None,
+def k2_learn(data: Dataset, cfg: K2Config,
              cache: LocalScoreCache | None = None,
              steps: list | None = None) -> tuple[Dag, float]:
     """Greedy structure search along a node ordering.
@@ -65,13 +66,12 @@ def k2_learn(data: Dataset, cfg: K2Config, prior: PriorSpec | None = None,
     cfg.validate()
     if data.n_rows == 0:
         raise EmptyDataError("cannot learn structures from a dataset with no rows")
-    prior = prior or PriorSpec()
     n = data.n_cols
     order = _resolve_ordering(cfg, n)
     parent_sets: list[tuple[int, ...]] = [()] * n
     for pos, node in enumerate(order):
         chosen: list[int] = []
-        current = local_log_score(data, node, (), prior, cache)
+        current = local_log_score(data, node, (), cache)
         while len(chosen) < cfg.max_parents:
             best_score = current
             best_cand = None
@@ -79,7 +79,7 @@ def k2_learn(data: Dataset, cfg: K2Config, prior: PriorSpec | None = None,
                 if cand in chosen:
                     continue
                 trial = tuple(sorted(chosen + [cand]))
-                s = local_log_score(data, node, trial, prior, cache)
+                s = local_log_score(data, node, trial, cache)
                 if s > best_score:  # strict: first best wins ties
                     best_score = s
                     best_cand = cand
@@ -91,7 +91,7 @@ def k2_learn(data: Dataset, cfg: K2Config, prior: PriorSpec | None = None,
             current = best_score
         parent_sets[node] = tuple(sorted(chosen))
     dag = Dag(n, parent_sets)
-    return dag, bde_log_score(data, dag, prior, cache)
+    return dag, bde_log_score(data, dag, cache)
 
 
 _DAG_COUNTS: list[int] = [1]   # _DAG_COUNTS[m] = count_dags(m), m = 0, 1, ...
@@ -115,8 +115,10 @@ def count_dags(n: int) -> int:
 def enumerate_dags(n: int) -> Iterator[Dag]:
     """Yield every labeled DAG on n nodes exactly once.
 
-    Iterates ordering x upper-triangular edge mask and deduplicates by
-    canonical parent sets; the cross-check that the yielded count equals
+    Decodes every (ordering, edge mask) pair with decode_parents, bit b of
+    the mask being edge bit b and masks ascending within each ordering, so
+    every graph is acyclic by construction. Deduplicates by canonical
+    parent sets; the cross-check that the yielded count equals
     count_dags(n) doubles as a completeness test of the encoding.
     """
     if n < 1:
@@ -128,41 +130,33 @@ def enumerate_dags(n: int) -> Iterator[Dag]:
             f"{ENUMERATION_LIMIT + 1}); limit is {ENUMERATION_LIMIT}"
         )
     E = triangular_size(n)
-    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
-    mask_edges = [[pairs[b] for b in range(E) if (mask >> b) & 1]
-                  for mask in range(1 << E)]
+    masks = [[(mask >> b) & 1 for b in range(E)] for mask in range(1 << E)]
     seen: set[tuple[tuple[int, ...], ...]] = set()
     for order in permutations(range(n)):
-        for edges in mask_edges:
-            parents: list[list[int]] = [[] for _ in range(n)]
-            for s, t in edges:
-                parents[order[t]].append(order[s])
-            key = tuple(tuple(sorted(ps)) for ps in parents)
+        for bits in masks:
+            key = decode_parents(order, bits)
             if key not in seen:
                 seen.add(key)
-                yield Dag(n, key)
+                yield Dag._unchecked(n, key)
 
 
-def score_all_dags(data: Dataset, prior: PriorSpec | None = None,
-                   cache: LocalScoreCache | None = None
-                   ) -> Iterator[tuple[Dag, float]]:
-    """Score every structure on the dataset's variables (small n only)."""
-    prior = prior or PriorSpec()
+def score_all_dags(data: Dataset) -> Iterator[tuple[Dag, float]]:
+    """Score every structure on the dataset's variables (small n only),
+    memoizing local scores across structures."""
+    cache = LocalScoreCache()
     for dag in enumerate_dags(data.n_cols):
-        yield dag, bde_log_score(data, dag, prior, cache)
+        yield dag, bde_log_score(data, dag, cache)
 
 
 @dataclass
 class ExhaustiveBest:
     dag: Dag
     log_score: float
-    ties: list[Dag]          # every structure within tie_tol of the optimum
+    ties: list[Dag]          # every structure within TIE_TOLERANCE of the optimum
     num_evaluated: int
 
 
-def exhaustive_best(data: Dataset, prior: PriorSpec | None = None,
-                    cache: LocalScoreCache | None = None,
-                    tie_tol: float = 1e-9) -> ExhaustiveBest:
+def exhaustive_best(data: Dataset) -> ExhaustiveBest:
     """Global optimum by scoring every structure (n <= 4)."""
     n = data.n_cols
     if n > EXHAUSTIVE_SEARCH_LIMIT:
@@ -170,8 +164,7 @@ def exhaustive_best(data: Dataset, prior: PriorSpec | None = None,
             f"exhaustive search is limited to {EXHAUSTIVE_SEARCH_LIMIT} nodes "
             f"({count_dags(EXHAUSTIVE_SEARCH_LIMIT)} structures); got {n}"
         )
-    cache = cache if cache is not None else LocalScoreCache()
-    results = list(score_all_dags(data, prior, cache))
+    results = list(score_all_dags(data))
     best_dag, best_score = max(results, key=lambda pair: pair[1])
-    ties = [dag for dag, s in results if s >= best_score - tie_tol]
+    ties = [dag for dag, s in results if s >= best_score - TIE_TOLERANCE]
     return ExhaustiveBest(best_dag, best_score, ties, len(results))

@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import ParseError, SchemaError, ValidationError, check_number
 
+ROW_SUM_TOL = 1e-9   # every CPT row must sum to 1 within this
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -158,14 +160,14 @@ class BayesianNetwork:
     """A DAG plus one conditional probability table per node.
 
     cpts[i] has shape (q_i, r_i): one row per joint parent assignment
-    (mixed-radix order) and one column per value of node i.
+    (mixed-radix order) and one column per value of node i. Rows are
+    checked, not rescaled: each must sum to 1 within ROW_SUM_TOL.
     """
 
     __slots__ = ("variables", "dag", "cpts")
 
     def __init__(self, variables: Sequence[Variable], dag: Dag,
-                 cpts: Sequence[np.ndarray], renormalize: bool = False,
-                 tol: float = 1e-9):
+                 cpts: Sequence[np.ndarray]):
         variables = list(variables)
         check_variables(variables)
         if dag.n != len(variables):
@@ -187,17 +189,11 @@ class BayesianNetwork:
                     f"CPT for {var.name!r} contains probabilities outside [0, 1]"
                 )
             sums = t.sum(axis=1)
-            if renormalize:
-                if np.any(sums <= 0.0):
-                    raise ValidationError(
-                        f"CPT for {var.name!r} has a zero-mass row; cannot renormalize"
-                    )
-                t = t / sums[:, None]
-            elif np.any(np.abs(sums - 1.0) > tol):
+            if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
                 j = int(np.argmax(np.abs(sums - 1.0)))
                 raise ValidationError(
                     f"CPT row {j} for {var.name!r} sums to {sums[j]!r}; "
-                    f"rows must sum to 1 within {tol}"
+                    f"rows must sum to 1 within {ROW_SUM_TOL}"
                 )
             t.setflags(write=False)
             tables.append(t)
@@ -288,7 +284,7 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
     values = np.zeros((count, net.n), dtype=np.int64)
     for i in net.dag.topological_order():
         cdf = np.cumsum(net.cpts[i], axis=1)
-        cdf[:, -1] = 1.0  # guard against 1e-9 normalization slack
+        cdf[:, -1] = 1.0  # guard against ROW_SUM_TOL normalization slack
         rows = parent_config_indices(values, net.dag.parents[i], arities)
         u = rng.random(count)
         values[:, i] = (u[:, None] >= cdf[rows]).sum(axis=1)
@@ -329,7 +325,9 @@ def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
 # file carries "cpts": null. Dataset: CSV with a "name:arity" header row.
 # ---------------------------------------------------------------------------
 
-def _read_json(path) -> dict:
+def read_json(path) -> dict:
+    """Read a JSON object from a file; ParseError if it cannot be read, is
+    not valid JSON, or is not an object at top level."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -380,8 +378,8 @@ def save_network(net: BayesianNetwork, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_network(path, renormalize: bool = False) -> BayesianNetwork:
-    doc = _read_json(path)
+def load_network(path) -> BayesianNetwork:
+    doc = read_json(path)
     variables = _parse_variables(doc, path)
     dag = _parse_parents(doc, path, len(variables))
     cpts = doc.get("cpts")
@@ -394,7 +392,7 @@ def load_network(path, renormalize: bool = False) -> BayesianNetwork:
         raise ParseError(
             f"{path}: field 'cpts' must be a list with one table per variable"
         )
-    return BayesianNetwork(variables, dag, cpts, renormalize=renormalize)
+    return BayesianNetwork(variables, dag, cpts)
 
 
 def save_structure(variables: Sequence[Variable], dag: Dag, path) -> None:
@@ -409,7 +407,7 @@ def save_structure(variables: Sequence[Variable], dag: Dag, path) -> None:
 
 def load_structure(path) -> tuple[list[Variable], Dag]:
     """Read variables and graph from a network file, ignoring any CPTs."""
-    doc = _read_json(path)
+    doc = read_json(path)
     variables = _parse_variables(doc, path)
     dag = _parse_parents(doc, path, len(variables))
     return variables, dag

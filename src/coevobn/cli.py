@@ -8,7 +8,6 @@ enumerate, count-dags. Exit codes: 0 success, 1 runtime failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -26,6 +25,7 @@ from .bayesnet import (
     load_dataset,
     load_network,
     random_network,
+    read_json,
     save_dataset,
     save_network,
     save_structure,
@@ -119,17 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json_config(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-
-
 def _save_learned(args, prefix: str, data, dag: Dag, score: float,
                   trace=None) -> int:
     """Print the best score; with --out, write <prefix>_structure.json (and
@@ -181,7 +170,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_learn_ccga(args) -> int:
     data = load_dataset(args.data)
-    doc = _load_json_config(args.config) if args.config else {}
+    doc = read_json(args.config) if args.config else {}
     cfg = config_from_dict(GaConfig, doc, "ga config")
     if args.seed is not None:
         cfg.seed = args.seed
@@ -199,7 +188,7 @@ def _cmd_learn_k2(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = ExperimentConfig.from_dict(_load_json_config(args.config))
+    cfg = ExperimentConfig.from_dict(read_json(args.config))
     if args.out is not None:
         cfg.out_dir = args.out
     if args.seed is not None:

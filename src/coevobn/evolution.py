@@ -28,7 +28,7 @@ from .encoding import (
     triangular_size,
 )
 from .errors import EmptyDataError, EngineError, ValidationError, check_number
-from .scoring import LocalScoreCache, PriorSpec, score_parent_sets
+from .scoring import LocalScoreCache, score_parent_sets
 
 PERMUTATION = "permutation"
 BINARY = "binary"
@@ -221,16 +221,15 @@ def two_point_crossover(a: BinaryGenome, b: BinaryGenome,
     return BinaryGenome(a.n, child1), BinaryGenome(a.n, child2)
 
 
-def cycle_crossover(a: PermutationGenome, b: PermutationGenome,
-                    rng: np.random.Generator | None = None
+def cycle_crossover(a: PermutationGenome, b: PermutationGenome
                     ) -> tuple[PermutationGenome, PermutationGenome]:
     """Exchange whole position-cycles between the parents.
 
     Cycles are discovered from the first unused position onward; the first
     child takes odd-numbered cycles from `a` and even-numbered ones from
     `b`, the second child the complement. Every child position keeps a
-    value present at that position in one of the parents. Deterministic;
-    `rng` is accepted for signature uniformity and never consumed.
+    value present at that position in one of the parents. Deterministic:
+    it draws no random numbers.
     """
     if len(a) != len(b) or sorted(a.order) != sorted(b.order):
         raise EngineError("cycle crossover requires permutations of the same set")
@@ -336,8 +335,8 @@ class _BestTracker:
 
 
 def evaluate(members: list, own_species: str, other_pop: Subpopulation,
-             data: Dataset, prior: PriorSpec | None,
-             cache: LocalScoreCache | None, rng: np.random.Generator,
+             data: Dataset, cache: LocalScoreCache | None,
+             rng: np.random.Generator,
              tracker: _BestTracker | None = None) -> np.ndarray:
     """Credit each member with the score of its best assembled solution.
 
@@ -346,7 +345,6 @@ def evaluate(members: list, own_species: str, other_pop: Subpopulation,
     random partners come from a single rng draw made before any scoring.
     Every assembled pair is offered to `tracker` in scoring order.
     """
-    prior = prior or PriorSpec()
     rand_idx = rng.integers(0, len(other_pop), size=len(members))
     best_partner = [] if other_pop.fitness is None else [other_pop.best]
     fitness = np.empty(len(members))
@@ -356,7 +354,7 @@ def evaluate(members: list, own_species: str, other_pop: Subpopulation,
             perm, bits = (member, partner) if own_species == PERMUTATION \
                 else (partner, member)
             score = score_parent_sets(data, decode_parents(perm.order, bits.bits),
-                                      prior, cache)
+                                      cache)
             if tracker is not None:
                 tracker.update(perm, bits, score)
             scores.append(score)
@@ -368,7 +366,7 @@ def _mean_fitness(perm_pop: Subpopulation, bin_pop: Subpopulation) -> float:
     return float(np.concatenate([perm_pop.fitness, bin_pop.fitness]).mean())
 
 
-def _species_generation(pop, other_pop, data, prior, cache, rng, cfg, p_mb,
+def _species_generation(pop, other_pop, data, cache, rng, cfg, p_mb,
                         tracker) -> Subpopulation:
     size = len(pop)
     pool = tournament_select(pop, rng)
@@ -377,7 +375,7 @@ def _species_generation(pop, other_pop, data, prior, cache, rng, cfg, p_mb,
         p1, p2 = pool[t], pool[t + 1]
         if rng.random() < cfg.p_c:
             if pop.species == PERMUTATION:
-                c1, c2 = cycle_crossover(p1, p2, rng)
+                c1, c2 = cycle_crossover(p1, p2)
             else:
                 c1, c2 = two_point_crossover(p1, p2, rng)
         else:
@@ -389,12 +387,12 @@ def _species_generation(pop, other_pop, data, prior, cache, rng, cfg, p_mb,
             c1 = bit_flip_mutation(c1, p_mb, rng)
             c2 = bit_flip_mutation(c2, p_mb, rng)
         offspring.extend((c1, c2))
-    fitness = evaluate(offspring, pop.species, other_pop, data, prior, cache,
-                       rng, tracker)
+    fitness = evaluate(offspring, pop.species, other_pop, data, cache, rng,
+                       tracker)
     return elitist_replace(pop, offspring, fitness)
 
 
-def evolve(data: Dataset, cfg: GaConfig, prior: PriorSpec | None = None
+def evolve(data: Dataset, cfg: GaConfig
            ) -> tuple[EvolutionState, ConvergenceTrace]:
     """Run the full coevolution loop and return the final state and trace.
 
@@ -404,7 +402,6 @@ def evolve(data: Dataset, cfg: GaConfig, prior: PriorSpec | None = None
     cfg.validate()
     if data.n_rows == 0:
         raise EmptyDataError("cannot evolve structures on a dataset with no rows")
-    prior = prior or PriorSpec()
     cache = LocalScoreCache()
     n = data.n_cols
     E = triangular_size(n)
@@ -419,17 +416,17 @@ def evolve(data: Dataset, cfg: GaConfig, prior: PriorSpec | None = None
 
     # Both species are scored before either records fitness, so generation
     # 0 pairs every member with a random partner only.
-    perm_fitness = evaluate(perm_pop.members, PERMUTATION, bin_pop, data, prior,
-                            cache, rng, tracker)
-    bin_fitness = evaluate(bin_pop.members, BINARY, perm_pop, data, prior,
-                           cache, rng, tracker)
+    perm_fitness = evaluate(perm_pop.members, PERMUTATION, bin_pop, data, cache,
+                            rng, tracker)
+    bin_fitness = evaluate(bin_pop.members, BINARY, perm_pop, data, cache, rng,
+                           tracker)
     perm_pop.fitness, bin_pop.fitness = perm_fitness, bin_fitness
     trace.append(tracker.record(0, _mean_fitness(perm_pop, bin_pop)))
     for gen in range(1, cfg.generations + 1):
-        perm_pop = _species_generation(perm_pop, bin_pop, data, prior, cache,
-                                       rng, cfg, p_mb, tracker)
-        bin_pop = _species_generation(bin_pop, perm_pop, data, prior, cache,
-                                      rng, cfg, p_mb, tracker)
+        perm_pop = _species_generation(perm_pop, bin_pop, data, cache, rng,
+                                       cfg, p_mb, tracker)
+        bin_pop = _species_generation(bin_pop, perm_pop, data, cache, rng,
+                                      cfg, p_mb, tracker)
         trace.append(tracker.record(gen, _mean_fitness(perm_pop, bin_pop)))
 
     state = EvolutionState(cfg.generations, perm_pop, bin_pop,

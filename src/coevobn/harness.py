@@ -39,7 +39,7 @@ from .errors import (
     config_from_dict,
 )
 from .evolution import GaConfig, evolve
-from .scoring import PriorSpec, bde_log_score
+from .scoring import bde_log_score
 
 _STREAM_DATASET = 0
 _STREAM_CCGA = 1
@@ -79,8 +79,7 @@ def welch_one_tailed_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> 
     return float(min(max(p, 5e-324), 1.0 - 1e-16))  # keep p inside (0, 1)
 
 
-def score_structure(structure_path, dataset_path,
-                    prior: PriorSpec | None = None) -> float:
+def score_structure(structure_path, dataset_path) -> float:
     """Score a stored structure (full network or structure-only file)
     against a stored dataset."""
     variables, dag = load_structure(structure_path)
@@ -91,7 +90,7 @@ def score_structure(structure_path, dataset_path,
             f"{structure_path} and {dataset_path} disagree on the variable "
             f"schema (names/arities must match)"
         )
-    return bde_log_score(data, dag, prior)
+    return bde_log_score(data, dag)
 
 
 @dataclass
@@ -128,6 +127,11 @@ class ExperimentConfig:
             check_number("sample size", size, integer=True, low=1)
         self.ga.validate()
         self.k2.validate()
+        for name, seed in (("ga.seed", self.ga.seed), ("k2.seed", self.k2.seed)):
+            if seed != 0:
+                raise ValidationError(
+                    f"{name} must be 0: per-run seeds derive from master_seed, "
+                    f"got {seed!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -223,14 +227,12 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
 
     Incomplete experiments leave the rows completed so far flushed in
     runs.csv. Per-run wall times go to timings.csv only, so that reruns
-    with the same seed give byte-identical runs.csv and report.json. The
-    seeds in cfg.ga and cfg.k2 are replaced by per-run derived seeds.
+    with the same seed give byte-identical runs.csv and report.json.
     """
     cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ground = _ground_truth(cfg)
-    prior = PriorSpec()
 
     entries: list[ComparisonEntry] = []
     all_results: list[RunResult] = []
@@ -263,7 +265,7 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
                 ga_cfg = replace(cfg.ga, seed=derive_seed(
                     cfg.master_seed, size, run, _STREAM_CCGA))
                 t0 = time.perf_counter()
-                state, trace = evolve(data, ga_cfg, prior)
+                state, trace = evolve(data, ga_cfg)
                 ccga_seconds = time.perf_counter() - t0
                 best = state.best_so_far
                 result = RunResult("ccga", run, dataset_id, best.log_score,
@@ -276,7 +278,7 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
                 k2_cfg = replace(cfg.k2, seed=derive_seed(
                     cfg.master_seed, size, run, _STREAM_K2))
                 t0 = time.perf_counter()
-                k2_dag, k2_score = k2_learn(data, k2_cfg, prior)
+                k2_dag, k2_score = k2_learn(data, k2_cfg)
                 k2_seconds = time.perf_counter() - t0
                 result = RunResult("k2", run, dataset_id, k2_score, k2_seconds,
                                    k2_dag)
@@ -284,7 +286,7 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
                 k2_results.append(result)
 
                 t0 = time.perf_counter()
-                orig_score = bde_log_score(data, ground.dag, prior)
+                orig_score = bde_log_score(data, ground.dag)
                 result = RunResult("original", run, dataset_id, orig_score,
                                    time.perf_counter() - t0, ground.dag)
                 emit(result)

@@ -1,16 +1,17 @@
 """Bayesian (BDe) log-score of a structure given a fully observable dataset.
 
-The total score decomposes into one local term per (node, parent set); those
-terms are memoized in a LocalScoreCache. prequential_log_score computes the
-same quantity by the chain rule of the marginal likelihood, multiplying
-posterior-predictive probabilities row by row; it serves as an independent
-oracle for the closed form.
+The metric is the one the paper shares with its K2 baseline (Cooper &
+Herskovits 1992): BDe with every Dirichlet pseudo-count equal to
+PSEUDO_COUNT = 1. The total score decomposes into one local term per
+(node, parent set); those terms are memoized in a LocalScoreCache.
+prequential_log_score computes the same quantity by the chain rule of the
+marginal likelihood, multiplying posterior-predictive probabilities row by
+row; it serves as an independent oracle for the closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,30 +28,9 @@ from .bayesnet import (
 from .errors import EmptyDataError, SchemaError, ValidationError
 
 
-@dataclass(frozen=True)
-class PriorSpec:
-    """Dirichlet prior with one shared pseudo-count for every cell.
-
-    The per-row total pseudo-count is arity * hyperparameter.
-    """
-
-    hyperparameter: float = 1.0
-
-    def __post_init__(self):
-        if not self.hyperparameter > 0:
-            raise ValidationError(
-                f"prior hyperparameter must be > 0, got {self.hyperparameter}"
-            )
-
-
-@dataclass
-class SufficientStats:
-    """Counts of (parent configuration, child value) pairs for one node."""
-
-    node: int
-    parent_set: tuple[int, ...]
-    counts: np.ndarray       # shape (q, r)
-    row_totals: np.ndarray   # shape (q,)
+# Dirichlet pseudo-count of every (parent configuration, child value) cell;
+# a row of a node with arity r carries r * PSEUDO_COUNT in total.
+PSEUDO_COUNT = 1.0
 
 
 class LocalScoreCache:
@@ -78,8 +58,9 @@ class LocalScoreCache:
         return len(self._table)
 
 
-def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> SufficientStats:
-    """Tally every row into its (parent configuration, child value) cell."""
+def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarray:
+    """Tally every row into its (parent configuration, child value) cell:
+    a (q, r) array of counts."""
     n = data.n_cols
     if not 0 <= node < n:
         raise ValidationError(f"node index {node} outside 0..{n - 1}")
@@ -98,26 +79,23 @@ def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> Sufficie
     q = parent_config_count(parent_set, arities)
     j = parent_config_indices(data.rows, parent_set, arities)
     flat = np.bincount(j * r + data.rows[:, node], minlength=q * r)
-    counts = flat.reshape(q, r)
-    return SufficientStats(node, parent_set, counts, counts.sum(axis=1))
+    return flat.reshape(q, r)
 
 
 def local_log_score(data: Dataset, node: int, parent_set: Sequence[int],
-                    prior: PriorSpec | None = None,
                     cache: LocalScoreCache | None = None) -> float:
     """Log marginal likelihood contribution of one node given its parents."""
-    prior = prior or PriorSpec()
     key = tuple(sorted(int(p) for p in parent_set))
     if cache is not None:
         hit = cache.get(node, key)
         if hit is not None:
             return hit
-    stats = count_stats(data, node, key)
-    a = prior.hyperparameter
+    counts = count_stats(data, node, key)
+    a = PSEUDO_COUNT
     row_prior = data.arities[node] * a
     score = float(
-        np.sum(gammaln(row_prior) - gammaln(row_prior + stats.row_totals))
-        + np.sum(gammaln(a + stats.counts) - gammaln(a))
+        np.sum(gammaln(row_prior) - gammaln(row_prior + counts.sum(axis=1)))
+        + np.sum(gammaln(a + counts) - gammaln(a))
     )
     if cache is not None:
         cache.put(node, key, score)
@@ -125,26 +103,25 @@ def local_log_score(data: Dataset, node: int, parent_set: Sequence[int],
 
 
 def score_parent_sets(data: Dataset, parent_sets: Sequence[tuple[int, ...]],
-                      prior: PriorSpec, cache: LocalScoreCache | None) -> float:
+                      cache: LocalScoreCache | None) -> float:
     """Sum of local scores for an entire family of parent sets (hot path)."""
     total = 0.0
     for node, ps in enumerate(parent_sets):
-        total += local_log_score(data, node, ps, prior, cache)
+        total += local_log_score(data, node, ps, cache)
     return total
 
 
-def bde_log_score(data: Dataset, dag: Dag, prior: PriorSpec | None = None,
+def bde_log_score(data: Dataset, dag: Dag,
                   cache: LocalScoreCache | None = None) -> float:
     """Log marginal likelihood of the data under the structure."""
     if dag.n != data.n_cols:
         raise SchemaError(
             f"structure has {dag.n} nodes but dataset has {data.n_cols} columns"
         )
-    return score_parent_sets(data, dag.parents, prior or PriorSpec(), cache)
+    return score_parent_sets(data, dag.parents, cache)
 
 
-def prequential_log_score(data: Dataset, dag: Dag,
-                          prior: PriorSpec | None = None) -> float:
+def prequential_log_score(data: Dataset, dag: Dag) -> float:
     """Sequential-predictive evaluation of the same marginal likelihood.
 
     Processes rows in order, scoring each row by the current
@@ -152,7 +129,6 @@ def prequential_log_score(data: Dataset, dag: Dag,
     Mathematically identical to bde_log_score, but shares no code path
     with the closed form.
     """
-    prior = prior or PriorSpec()
     if dag.n != data.n_cols:
         raise SchemaError(
             f"structure has {dag.n} nodes but dataset has {data.n_cols} columns"
@@ -162,7 +138,7 @@ def prequential_log_score(data: Dataset, dag: Dag,
             "dataset has no rows; scores over an empty dataset do not rank structures"
         )
     arities = data.arities
-    a = prior.hyperparameter
+    a = PSEUDO_COUNT
     counts = []
     for i in range(dag.n):
         q = parent_config_count(dag.parents[i], arities)
@@ -179,19 +155,17 @@ def prequential_log_score(data: Dataset, dag: Dag,
     return total
 
 
-def fit_network(data: Dataset, dag: Dag,
-                prior: PriorSpec | None = None) -> BayesianNetwork:
+def fit_network(data: Dataset, dag: Dag) -> BayesianNetwork:
     """Fill a structure with posterior-mean CPTs from the data counts:
-    (a + N_ijk) / (r_i a + N_ij) per cell."""
-    prior = prior or PriorSpec()
+    (a + N_ijk) / (r_i a + N_ij) per cell, a = PSEUDO_COUNT."""
     if dag.n != data.n_cols:
         raise SchemaError(
             f"structure has {dag.n} nodes but dataset has {data.n_cols} columns"
         )
-    a = prior.hyperparameter
+    a = PSEUDO_COUNT
     cpts = []
     for i in range(dag.n):
-        stats = count_stats(data, i, dag.parents[i])
+        counts = count_stats(data, i, dag.parents[i])
         r = data.arities[i]
-        cpts.append((a + stats.counts) / (r * a + stats.row_totals[:, None]))
+        cpts.append((a + counts) / (r * a + counts.sum(axis=1)[:, None]))
     return BayesianNetwork(data.variables, dag, cpts)

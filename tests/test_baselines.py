@@ -11,12 +11,14 @@ from coevobn import (
     LocalScoreCache,
     PermutationGenome,
     ValidationError,
+    bde_log_score,
     count_dags,
     enumerate_dags,
     exhaustive_best,
     k2_learn,
     local_log_score,
     prequential_log_score,
+    score_all_dags,
 )
 from helpers import dataset, random_instance
 
@@ -54,6 +56,19 @@ class TestEnumerateDags:
     def test_refuses_large_n(self):
         with pytest.raises(ValidationError, match="super-exponential"):
             next(enumerate_dags(6))
+
+
+class TestScoreAllDags:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_memoized_scores_equal_fresh_scores(self, n):
+        rng = np.random.default_rng(n)
+        arities = [2, 3, 2, 3][:n]
+        data = dataset(arities, np.stack(
+            [rng.integers(0, a, size=60) for a in arities], axis=1))
+        scored = list(score_all_dags(data))
+        assert [dag for dag, _ in scored] == list(enumerate_dags(n))
+        for dag, score in scored:
+            assert score == bde_log_score(data, dag)
 
 
 def deterministic_copy_data(rows_per_value=100):
@@ -157,7 +172,6 @@ class TestExhaustiveBest:
         assert result.num_evaluated == 25
 
     def test_optimum_dominates_specific_structures(self):
-        from coevobn import bde_log_score
         rng = np.random.default_rng(4)
         data = dataset([2] * 3, rng.integers(0, 2, size=(50, 3)))
         result = exhaustive_best(data)

@@ -155,6 +155,17 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match="nodes"):
             cfg.validate()
 
+    @pytest.mark.parametrize("name,overrides", [
+        ("ga.seed", {"ga": GaConfig(generations=4, population_size=8, seed=5)}),
+        ("k2.seed", {"k2": K2Config(seed=5)}),
+    ])
+    def test_nonzero_run_seed_rejected(self, tmp_path, name, overrides):
+        # every run's seeds derive from master_seed, so a seed set here
+        # would be silently replaced
+        cfg = tiny_config(tmp_path, runs=2, **overrides)
+        with pytest.raises(ValidationError, match=name):
+            run_comparison(cfg)
+
 
 class TestRunComparison:
     def test_outputs_and_self_consistency(self, tmp_path):
