@@ -9,6 +9,8 @@ acyclic by construction; no repair or cycle detection is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -145,19 +147,29 @@ def split_interleaved(interleaved: Sequence[int], n: int) -> tuple[PermutationGe
     return PermutationGenome(order), BinaryGenome(n, bits)
 
 
+@cache
+def _edge_positions(n: int) -> tuple[tuple[int, int], ...]:
+    """The (s, t) ordering positions of the n(n-1)/2 edge bits, in bit order."""
+    return tuple((s, t) for s in range(n - 1) for t in range(s + 1, n))
+
+
 def decode_parents(order: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Parent sets implied by (ordering, bits); sorted tuples, one per node."""
+    """Parent sets implied by (ordering, bits); sorted tuples, one per node.
+
+    `bits` is any sequence of n(n-1)/2 truthy/falsy values; only the set
+    ones are visited.
+    """
     n = len(order)
-    parents: list[list[int]] = [[] for _ in range(n)]
     blist = bits.tolist() if isinstance(bits, np.ndarray) else list(bits)
-    idx = 0
-    for s in range(n - 1):
-        source = order[s]
-        for t in range(s + 1, n):
-            if blist[idx]:
-                parents[order[t]].append(source)
-            idx += 1
-    return tuple(tuple(sorted(ps)) for ps in parents)
+    positions = _edge_positions(n)
+    if len(blist) != len(positions):
+        raise EncodingError(
+            f"expected {len(positions)} edge bits for n={n}, got {len(blist)}"
+        )
+    parents: list[list[int]] = [[] for _ in range(n)]
+    for s, t in compress(positions, blist):
+        parents[order[t]].append(order[s])
+    return tuple(map(tuple, map(sorted, parents)))
 
 
 def decode(sol: CompleteSolution) -> Dag:

@@ -335,7 +335,7 @@ class _BestTracker:
 
 
 def evaluate(members: list, own_species: str, other_pop: Subpopulation,
-             data: Dataset, cache: LocalScoreCache | None,
+             data: Dataset, cache: LocalScoreCache,
              rng: np.random.Generator,
              tracker: _BestTracker | None = None) -> np.ndarray:
     """Credit each member with the score of its best assembled solution.

@@ -36,6 +36,11 @@ PSEUDO_COUNT = 1.0
 class LocalScoreCache:
     """Memo of (node, sorted parent tuple) -> local log-score, with hit and
     miss counts. Not synchronized: share one cache within one thread only.
+
+    Every local term looked up through a cache counts once: a hit or a miss
+    in `get` (reached from `local_log_score`), or a hit that
+    `score_parent_sets` reads straight from the table. Each miss is one
+    `count_stats` call and one new entry.
     """
 
     def __init__(self):
@@ -104,10 +109,21 @@ def local_log_score(data: Dataset, node: int, parent_set: Sequence[int],
 
 def score_parent_sets(data: Dataset, parent_sets: Sequence[tuple[int, ...]],
                       cache: LocalScoreCache | None) -> float:
-    """Sum of local scores for an entire family of parent sets (hot path)."""
+    """Sum of local scores for an entire family of parent sets (hot path).
+
+    A parent tuple that is already a key of the cache is read straight
+    from its table; anything else (no cache, a miss, a list, an unsorted
+    tuple) goes through local_log_score, which normalizes the key.
+    """
     total = 0.0
+    table = cache._table if cache is not None else {}
     for node, ps in enumerate(parent_sets):
-        total += local_log_score(data, node, ps, cache)
+        value = table.get((node, ps)) if type(ps) is tuple else None
+        if value is None:
+            value = local_log_score(data, node, ps, cache)
+        else:
+            cache.hits += 1
+        total += value
     return total
 
 

@@ -1,5 +1,7 @@
 """Genome types, the interleaved chromosome, and decode/encode round trips."""
 
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from coevobn import (
     triangular_index,
     triangular_size,
 )
+from coevobn.encoding import decode_parents
 
 
 def random_pair(rng, n):
@@ -140,6 +143,42 @@ class TestDecode:
             g = nx.DiGraph(list(dag.edges()))
             g.add_nodes_from(range(n))
             assert nx.is_directed_acyclic_graph(g)
+
+
+def reference_decode(order, bits):
+    """Walk every (i, j) cell of the triangle, then sort each parent list."""
+    n = len(order)
+    parents = [[] for _ in range(n)]
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            if bits[triangular_index(i, j, n)]:
+                parents[order[j - 1]].append(order[i - 1])
+    return tuple(tuple(sorted(ps)) for ps in parents)
+
+
+class TestDecodeParents:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_cell_by_cell_reference(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(25):
+            order = tuple(int(v) for v in rng.permutation(n))
+            bits = rng.random(triangular_size(n)) < rng.random()
+            expected = reference_decode(order, bits)
+            as_array = decode_parents(order, bits)
+            as_list = decode_parents(order, [int(b) for b in bits])
+            assert as_array == as_list == expected
+            assert all(type(ps) is tuple for ps in as_array)
+
+    @pytest.mark.parametrize("bits", [[1, 0], [1, 0, 1, 1, 1]])
+    def test_wrong_bit_count_names_the_expected_count(self, bits):
+        with pytest.raises(EncodingError, match="expected 3 edge bits"):
+            decode_parents((0, 1, 2), bits)
+
+    def test_enumeration_order_is_unchanged(self):
+        parents = [dag.parents for dag in enumerate_dags(4)]
+        digest = hashlib.sha256(repr(parents).encode()).hexdigest()
+        assert digest == \
+            "9ffefeac6dc7d7db2b0fb29233849a272a56007912d3f2f375e73d22c4799c71"
 
 
 class TestEncodeDag:

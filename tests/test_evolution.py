@@ -26,7 +26,7 @@ from coevobn import (
     two_point_crossover,
 )
 from coevobn.evolution import BINARY, PERMUTATION
-from coevobn.scoring import bde_log_score
+from coevobn.scoring import LocalScoreCache, bde_log_score
 from coevobn.encoding import combine, decode
 from helpers import chain3, chain4, dataset
 
@@ -254,7 +254,7 @@ class TestEvaluate:
         perm = PermutationGenome([0, 1, 2])
         bits = BinaryGenome(3, [1, 0, 1])
         other = subpop_with_fitness(BINARY, [bits], [-1.0])
-        got = evaluate([perm], PERMUTATION, other, self.data, None,
+        got = evaluate([perm], PERMUTATION, other, self.data, LocalScoreCache(),
                        np.random.default_rng(0))
         assert got.tolist() == [pytest.approx(self.score_pair(perm, bits))]
 
@@ -264,7 +264,7 @@ class TestEvaluate:
         perms = [PermutationGenome([2, 0, 1]), PermutationGenome([1, 2, 0])]
         fitness = [self.score_pair(perms[0], b) for b in members]
         other = subpop_with_fitness(BINARY, members, fitness)
-        got = evaluate(perms, PERMUTATION, other, self.data, None,
+        got = evaluate(perms, PERMUTATION, other, self.data, LocalScoreCache(),
                        np.random.default_rng(5))
         assert got.shape == (2,)
         for perm, score in zip(perms, got):
@@ -274,9 +274,9 @@ class TestEvaluate:
         perms = [PermutationGenome([0, 1, 2]), PermutationGenome([2, 1, 0])]
         members = [BinaryGenome(3, [1, 0, 0]), BinaryGenome(3, [0, 1, 1])]
         other = Subpopulation(BINARY, members)  # no fitness: random partner only
-        a = evaluate(perms, PERMUTATION, other, self.data, None,
+        a = evaluate(perms, PERMUTATION, other, self.data, LocalScoreCache(),
                      np.random.default_rng(8))
-        b = evaluate(perms, PERMUTATION, other, self.data, None,
+        b = evaluate(perms, PERMUTATION, other, self.data, LocalScoreCache(),
                      np.random.default_rng(8))
         assert a.tolist() == b.tolist()
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coevobn import scoring
 from coevobn import (
     Dag,
     EmptyDataError,
@@ -20,6 +21,7 @@ from coevobn import (
     local_log_score,
     prequential_log_score,
 )
+from coevobn.scoring import score_parent_sets
 from helpers import chain3, dataset, random_instance
 
 LN_HALF = math.log(0.5)
@@ -133,6 +135,60 @@ class TestBdeLogScore:
         data, dag = random_instance(rng)
         assert bde_log_score(data, dag, cache=LocalScoreCache()) == \
             bde_log_score(data, dag, cache=None)
+
+
+def random_families(rng, n, count):
+    """`count` families of sorted parent tuples over n nodes; a node's
+    parents are any subset of the other nodes (acyclicity is not needed)."""
+    families = []
+    for _ in range(count):
+        families.append(tuple(
+            tuple(int(p) for p in np.flatnonzero(rng.random(n) < 0.3) if p != node)
+            for node in range(n)))
+    return families
+
+
+class TestScoreParentSetsCache:
+    def setup_method(self):
+        rng = np.random.default_rng(31)
+        arities = [2, 3, 2, 3, 2]
+        self.data = dataset(arities, rng.integers(0, arities, size=(60, 5)))
+        self.families = random_families(rng, 5, 40)
+
+    def score_twice(self, families, monkeypatch):
+        """Score every family twice through one cache; return the totals,
+        the cache, and the count_stats calls made."""
+        calls = []
+        real = scoring.count_stats
+        monkeypatch.setattr(scoring, "count_stats",
+                            lambda *args: calls.append(args) or real(*args))
+        cache = LocalScoreCache()
+        totals = [score_parent_sets(self.data, fam, cache)
+                  for _ in range(2) for fam in families]
+        return totals, cache, len(calls)
+
+    def test_cached_totals_equal_uncached_and_counts_are_exact(self, monkeypatch):
+        totals, cache, count_calls = self.score_twice(self.families, monkeypatch)
+        uncached = [score_parent_sets(self.data, fam, None)
+                    for fam in self.families]
+        assert totals == uncached + uncached  # bit-identical, both passes
+        keys = {(node, ps) for fam in self.families for node, ps in enumerate(fam)}
+        assert cache.misses == len(cache) == count_calls == len(keys)
+        assert cache.hits + cache.misses == 2 * len(self.families) * 5
+
+    @pytest.mark.parametrize("variant", [
+        lambda ps: tuple(reversed(ps)),
+        lambda ps: tuple(np.int64(p) for p in ps),
+        list,
+    ], ids=["unsorted-tuple", "numpy-ints", "list"])
+    def test_any_parent_sequence_scores_and_counts_like_sorted_tuples(
+            self, variant, monkeypatch):
+        baseline = self.score_twice(self.families, monkeypatch)
+        changed = [tuple(variant(ps) for ps in fam) for fam in self.families]
+        totals, cache, count_calls = self.score_twice(changed, monkeypatch)
+        assert totals == baseline[0]
+        assert (cache.hits, cache.misses, len(cache), count_calls) == \
+            (baseline[1].hits, baseline[1].misses, len(baseline[1]), baseline[2])
 
 
 class TestPrequentialOracle:
