@@ -211,14 +211,15 @@ class BayesianNetwork:
 
 
 class Dataset:
-    """Fully observable integer-coded samples over a fixed variable schema."""
+    """Fully observable integer-coded samples over a fixed variable schema.
+    `rows` is read-only int64, column-major so that every column is contiguous."""
 
     __slots__ = ("variables", "rows")
 
     def __init__(self, variables: Sequence[Variable], rows):
         variables = list(variables)
         check_variables(variables)
-        arr = np.array(rows, dtype=np.int64)
+        arr = np.array(rows, dtype=np.int64, order="F")
         if arr.size == 0:
             arr = arr.reshape(0, len(variables))
         if arr.ndim != 2 or arr.shape[1] != len(variables):

@@ -169,7 +169,10 @@ def decode_parents(order: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, .
     parents: list[list[int]] = [[] for _ in range(n)]
     for s, t in compress(positions, blist):
         parents[order[t]].append(order[s])
-    return tuple(map(tuple, map(sorted, parents)))
+    for ps in parents:
+        if len(ps) > 1:
+            ps.sort()
+    return tuple(map(tuple, parents))
 
 
 def decode(sol: CompleteSolution) -> Dag:

@@ -23,7 +23,6 @@ from .bayesnet import (
     Dataset,
     parent_config_count,
     parent_config_index,
-    parent_config_indices,
 )
 from .errors import EmptyDataError, SchemaError, ValidationError
 
@@ -31,6 +30,10 @@ from .errors import EmptyDataError, SchemaError, ValidationError
 # Dirichlet pseudo-count of every (parent configuration, child value) cell;
 # a row of a node with arity r carries r * PSEUDO_COUNT in total.
 PSEUDO_COUNT = 1.0
+
+# Largest q * r that count_stats tallies as a dense table; above it only the
+# parent configurations that occur in the data get a row.
+DENSE_CELLS = 1 << 22
 
 
 class LocalScoreCache:
@@ -65,7 +68,9 @@ class LocalScoreCache:
 
 def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarray:
     """Tally every row into its (parent configuration, child value) cell:
-    a (q, r) array of counts."""
+    the dense (q, r) array of counts when q * r <= DENSE_CELLS, else one
+    row per parent configuration that occurs in the data, in lexicographic
+    order. The all-zero rows it leaves out add exactly 0 to BDe."""
     n = data.n_cols
     if not 0 <= node < n:
         raise ValidationError(f"node index {node} outside 0..{n - 1}")
@@ -79,12 +84,19 @@ def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarr
         raise EmptyDataError(
             "dataset has no rows; scores over an empty dataset do not rank structures"
         )
+    rows = data.rows
     arities = data.arities
     r = arities[node]
-    q = parent_config_count(parent_set, arities)
-    j = parent_config_indices(data.rows, parent_set, arities)
-    flat = np.bincount(j * r + data.rows[:, node], minlength=q * r)
-    return flat.reshape(q, r)
+    if parent_config_count(parent_set, arities) * r > DENSE_CELLS:
+        seen, j = np.unique(rows[:, list(parent_set)], axis=0, return_inverse=True)
+        flat = j.reshape(-1) * r + rows[:, node]
+        return np.bincount(flat, minlength=len(seen) * r).reshape(-1, r)
+    flat = rows[:, node]  # becomes j * r + x, one contiguous column per parent
+    size = r
+    for p in parent_set:
+        flat = flat + rows[:, p] * size
+        size *= arities[p]
+    return np.bincount(flat, minlength=size).reshape(size // r, r)
 
 
 def local_log_score(data: Dataset, node: int, parent_set: Sequence[int],
@@ -181,7 +193,11 @@ def fit_network(data: Dataset, dag: Dag) -> BayesianNetwork:
     a = PSEUDO_COUNT
     cpts = []
     for i in range(dag.n):
-        counts = count_stats(data, i, dag.parents[i])
         r = data.arities[i]
+        cells = parent_config_count(dag.parents[i], data.arities) * r
+        if cells > DENSE_CELLS:
+            raise ValidationError(f"node {i} ({data.variables[i].name}) needs a CPT "
+                                  f"of {cells} cells, above DENSE_CELLS = {DENSE_CELLS}")
+        counts = count_stats(data, i, dag.parents[i])
         cpts.append((a + counts) / (r * a + counts.sum(axis=1)[:, None]))
     return BayesianNetwork(data.variables, dag, cpts)

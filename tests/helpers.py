@@ -1,5 +1,7 @@
 """Shared builders for small hand-checked networks and datasets."""
 
+import math
+
 import numpy as np
 
 from coevobn import BayesianNetwork, Dag, Dataset, Variable
@@ -65,3 +67,26 @@ def random_instance(rng, max_nodes=4, max_rows=50):
             if rng.random() < 0.5:
                 parents[int(order[t])].append(int(order[s]))
     return dataset(arities, rows), Dag(n, parents)
+
+
+def distinct_parent_rows(n_parents, m, seed=0):
+    """Binary data over n_parents + 1 columns in which no two rows share the
+    values of columns 1..n_parents: columns 1..8 carry the binary digits of
+    the row number (m <= 256), every other cell is a random bit."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, size=(m, n_parents + 1))
+    rows[:, 1:9] = (np.arange(m)[:, None] >> np.arange(8)) & 1
+    return dataset([2] * (n_parents + 1), rows)
+
+
+def reference_local_score(data, node, parents):
+    """BDe local score with unit pseudo-counts from a dictionary tally of
+    the observed parent configurations and math.lgamma: it never builds a
+    table, so it checks families of any size."""
+    r = data.arities[node]
+    tally = {}
+    for row in data.rows.tolist():
+        tally.setdefault(tuple(row[p] for p in parents), [0] * r)[row[node]] += 1
+    return sum(math.lgamma(r) - math.lgamma(r + sum(cell))
+               + sum(math.lgamma(1 + c) for c in cell)
+               for cell in tally.values())

@@ -1,12 +1,20 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import coevobn
+from coevobn import Dag, ancestral_sample, save_dataset, save_structure, scoring
 from coevobn.baselines import COUNT_LIMIT, count_dags
 from coevobn.cli import cli_main
+from helpers import chain3, distinct_parent_rows, reference_local_score
 
 
 def run(capsys, *argv):
@@ -169,6 +177,43 @@ class TestPipeline:
         data.write_text("A:2,B:2\n0,1\n")
         code, _, _ = run(capsys, "enumerate", "--nodes", "3", "--data", str(data))
         assert code == 2
+
+
+class TestDenseStructures:
+    def test_score_of_the_complete_dag_on_30_binary_nodes(self, tmp_path):
+        # The last family alone has 2**30 cells; a dense tally of it would
+        # take 8 GiB, so the command runs in a child capped at 2 GiB.
+        data = distinct_parent_rows(29, 200)
+        dag = Dag(30, [range(i) for i in range(30)])
+        save_dataset(data, tmp_path / "data.csv")
+        save_structure(data.variables, dag, tmp_path / "net.json")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(coevobn.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coevobn.cli", "score",
+             "--net", str(tmp_path / "net.json"),
+             "--data", str(tmp_path / "data.csv")],
+            env=env, preexec_fn=cap_address_space, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        expected = sum(reference_local_score(data, i, ps)
+                       for i, ps in enumerate(dag.parents))
+        assert float(proc.stdout) == pytest.approx(expected, abs=1e-6)
+
+    def test_fit_cpts_above_the_dense_limit_is_usage_error(
+            self, capsys, tmp_path, monkeypatch):
+        # a limit of 3 cells puts every binary family with a parent above it
+        save_dataset(ancestral_sample(chain3(), 500, seed=1),
+                     tmp_path / "data.csv")
+        monkeypatch.setattr(scoring, "DENSE_CELLS", 3)
+        code, _, err = run(capsys, "learn-k2", "--data", str(tmp_path / "data.csv"),
+                           "--out", str(tmp_path / "k2"), "--fit-cpts")
+        assert code == 2
+        assert "cells" in err and "DENSE_CELLS = 3" in err
 
 
 class TestLearnCcgaConfig:

@@ -21,8 +21,15 @@ from coevobn import (
     local_log_score,
     prequential_log_score,
 )
+from coevobn.bayesnet import parent_config_count, parent_config_index
 from coevobn.scoring import score_parent_sets
-from helpers import chain3, dataset, random_instance
+from helpers import (
+    chain3,
+    dataset,
+    distinct_parent_rows,
+    random_instance,
+    reference_local_score,
+)
 
 LN_HALF = math.log(0.5)
 LN_SIXTH = math.log(1.0 / 6.0)
@@ -57,6 +64,84 @@ class TestCountStats:
         data = dataset([2], np.zeros((0, 1), dtype=int))
         with pytest.raises(EmptyDataError):
             count_stats(data, 0, ())
+
+
+def reference_counts(data, node, parents):
+    """The dense (q, r) tally built row by row with parent_config_index."""
+    arities = data.arities
+    counts = np.zeros((parent_config_count(parents, arities), arities[node]),
+                      dtype=np.int64)
+    for row in data.rows.tolist():
+        counts[parent_config_index(row, parents, arities), row[node]] += 1
+    return counts
+
+
+def random_family(rng, max_nodes, max_parents, max_rows):
+    """Random data (arities 2-5; about one draw in ten has a single row)
+    and one random (node, unsorted parents) family on it."""
+    n = int(rng.integers(2, max_nodes + 1))
+    arities = [int(a) for a in rng.integers(2, 6, size=n)]
+    m = 1 if rng.random() < 0.1 else int(rng.integers(1, max_rows + 1))
+    data = dataset(arities, rng.integers(0, arities, size=(m, n)))
+    node = int(rng.integers(n))
+    others = [v for v in range(n) if v != node]
+    k = int(rng.integers(0, min(max_parents, n - 1) + 1))
+    parents = tuple(int(v) for v in rng.choice(others, k, replace=False))
+    return data, node, parents
+
+
+class TestCountStatsDifferential:
+    def test_matches_the_per_row_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            data, node, parents = random_family(rng, 30, 6, 300)
+            counts = count_stats(data, node, parents)
+            expected = reference_counts(data, node, sorted(parents))
+            assert counts.dtype == np.int64 and counts.shape == expected.shape
+            assert np.array_equal(counts, expected)
+
+    def test_rows_are_stored_column_major_and_read_only(self):
+        for data in (dataset([2, 3, 4], [[0, 1, 2], [1, 2, 3]]),
+                     ancestral_sample(chain3(), 50, seed=1)):
+            rows = data.rows
+            assert rows.dtype == np.int64 and rows.flags.f_contiguous
+            assert not rows.flags.writeable
+
+
+class TestObservedConfigurationFallback:
+    @pytest.mark.parametrize("n_parents", [29, 66])
+    def test_distinct_configurations_score_minus_ln_r_per_row(self, n_parents):
+        # each row is alone in its parent configuration, so it adds
+        # ln(1/2) = ln G(2) - ln G(3) + ln G(2) - ln G(1) to the family
+        m = 200
+        data = distinct_parent_rows(n_parents, m)
+        parents = range(1, n_parents + 1)
+        assert 2 ** (n_parents + 1) > scoring.DENSE_CELLS
+        counts = count_stats(data, 0, parents)
+        assert counts.shape == (m, 2)
+        assert counts.sum(axis=1).tolist() == [1] * m
+        assert local_log_score(data, 0, parents) == \
+            pytest.approx(-m * math.log(2), abs=1e-9)
+
+    def test_rows_are_the_observed_rows_of_the_dense_table(self, monkeypatch):
+        monkeypatch.setattr(scoring, "DENSE_CELLS", 0)
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            data, node, parents = random_family(rng, 8, 5, 60)
+            ps = sorted(parents)
+            dense = reference_counts(data, node, ps)
+            seen = {tuple(row[p] for p in ps): row for row in data.rows.tolist()}
+            observed = [parent_config_index(seen[config], ps, data.arities)
+                        for config in sorted(seen)]
+            assert np.array_equal(count_stats(data, node, parents), dense[observed])
+            assert local_log_score(data, node, parents) == \
+                pytest.approx(reference_local_score(data, node, ps), abs=1e-9)
+
+    def test_fit_network_refuses_a_table_above_the_limit(self):
+        data = distinct_parent_rows(29, 200)
+        dag = Dag(30, [range(1, 30)] + [()] * 29)
+        with pytest.raises(ValidationError, match=r"node 0 .*1073741824 cells"):
+            fit_network(data, dag)
 
 
 class TestLocalLogScore:
