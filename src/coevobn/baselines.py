@@ -69,6 +69,7 @@ def k2_learn(data: Dataset, cfg: K2Config,
     n = data.n_cols
     order = _resolve_ordering(cfg, n)
     parent_sets: list[tuple[int, ...]] = [()] * n
+    local_scores = [0.0] * n
     for pos, node in enumerate(order):
         chosen: list[int] = []
         current = local_log_score(data, node, (), cache)
@@ -90,8 +91,13 @@ def k2_learn(data: Dataset, cfg: K2Config,
             chosen.append(best_cand)
             current = best_score
         parent_sets[node] = tuple(sorted(chosen))
-    dag = Dag(n, parent_sets)
-    return dag, bde_log_score(data, dag, cache)
+        local_scores[node] = current
+    # added one by one in node order, as bde_log_score does, so the total
+    # is bit-identical to rescoring the DAG
+    total = 0.0
+    for value in local_scores:
+        total += value
+    return Dag(n, parent_sets), total
 
 
 _DAG_COUNTS: list[int] = [1]   # _DAG_COUNTS[m] = count_dags(m), m = 0, 1, ...

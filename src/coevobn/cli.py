@@ -123,10 +123,12 @@ def _save_learned(args, prefix: str, data, dag: Dag, score: float,
                   trace=None) -> int:
     """Print the best score; with --out, write <prefix>_structure.json (and
     <prefix>_trace.csv when a trace is given), and with --fit-cpts also
-    <prefix>_network.json."""
+    <prefix>_network.json. The CPTs are fitted before anything is written,
+    so a structure that cannot be fitted leaves no files behind."""
     print(f"best_score={score:.6f}")
     if args.out is None:
         return 0
+    network = fit_network(data, dag) if args.fit_cpts else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = [out / f"{prefix}_structure.json"]
@@ -135,10 +137,10 @@ def _save_learned(args, prefix: str, data, dag: Dag, score: float,
         written.append(out / f"{prefix}_trace.csv")
         trace.write_csv(written[1])
     print("wrote " + " and ".join(map(str, written)))
-    if args.fit_cpts:
-        network = out / f"{prefix}_network.json"
-        save_network(fit_network(data, dag), network)
-        print(f"wrote {network}")
+    if network is not None:
+        network_path = out / f"{prefix}_network.json"
+        save_network(network, network_path)
+        print(f"wrote {network_path}")
     return 0
 
 

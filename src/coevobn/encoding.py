@@ -46,6 +46,13 @@ class PermutationGenome:
             )
         self.order = order
 
+    @classmethod
+    def _unchecked(cls, order: tuple[int, ...]) -> "PermutationGenome":
+        """Skip validation; caller guarantees a tuple permutation of range(n)."""
+        genome = object.__new__(cls)
+        genome.order = order
+        return genome
+
     @property
     def n(self) -> int:
         return len(self.order)
@@ -66,10 +73,11 @@ class PermutationGenome:
 class BinaryGenome:
     """n(n-1)/2 edge bits laid out row-major over the strict upper triangle.
 
-    Equality and hashing use the packed byte form.
+    The bits are a read-only bool array; equality and hashing use n and
+    the bits.
     """
 
-    __slots__ = ("n", "bits", "_key")
+    __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits):
         arr = np.array(bits, dtype=bool)
@@ -80,16 +88,26 @@ class BinaryGenome:
         arr.setflags(write=False)
         self.n = n
         self.bits = arr
-        self._key = (n, np.packbits(arr).tobytes())
+
+    @classmethod
+    def _unchecked(cls, n: int, bits: np.ndarray) -> "BinaryGenome":
+        """Skip validation; caller guarantees a fresh 1-d bool array of
+        n(n-1)/2 bits, which becomes read-only."""
+        bits.setflags(write=False)
+        genome = object.__new__(cls)
+        genome.n = n
+        genome.bits = bits
+        return genome
 
     def __len__(self) -> int:
         return self.bits.size
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BinaryGenome) and self._key == other._key
+        return isinstance(other, BinaryGenome) and self.n == other.n \
+            and np.array_equal(self.bits, other.bits)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.n, self.bits.tobytes()))
 
     def to01(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)

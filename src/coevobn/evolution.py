@@ -216,9 +216,11 @@ def two_point_crossover(a: BinaryGenome, b: BinaryGenome,
         c1, c2 = sorted(int(c) for c in cuts)
         if not 0 <= c1 < c2 <= L:
             raise EngineError(f"cut points must satisfy 0 <= c1 < c2 <= {L}, got {cuts}")
-    child1 = np.concatenate([a.bits[:c1], b.bits[c1:c2], a.bits[c2:]])
-    child2 = np.concatenate([b.bits[:c1], a.bits[c1:c2], b.bits[c2:]])
-    return BinaryGenome(a.n, child1), BinaryGenome(a.n, child2)
+    child1 = a.bits.copy()
+    child1[c1:c2] = b.bits[c1:c2]
+    child2 = b.bits.copy()
+    child2[c1:c2] = a.bits[c1:c2]
+    return BinaryGenome._unchecked(a.n, child1), BinaryGenome._unchecked(a.n, child2)
 
 
 def cycle_crossover(a: PermutationGenome, b: PermutationGenome
@@ -231,8 +233,8 @@ def cycle_crossover(a: PermutationGenome, b: PermutationGenome
     value present at that position in one of the parents. Deterministic:
     it draws no random numbers.
     """
-    if len(a) != len(b) or sorted(a.order) != sorted(b.order):
-        raise EngineError("cycle crossover requires permutations of the same set")
+    if len(a) != len(b):  # genomes are permutations of range(n) by construction
+        raise EngineError("cycle crossover requires permutations of the same length")
     n = len(a)
     pos_in_a = {v: p for p, v in enumerate(a.order)}
     used = [False] * n
@@ -254,7 +256,8 @@ def cycle_crossover(a: PermutationGenome, b: PermutationGenome
             child1[p] = a.order[p] if take_from_a else b.order[p]
             child2[p] = b.order[p] if take_from_a else a.order[p]
         take_from_a = not take_from_a
-    return PermutationGenome(child1), PermutationGenome(child2)
+    return (PermutationGenome._unchecked(tuple(child1)),
+            PermutationGenome._unchecked(tuple(child2)))
 
 
 def bit_flip_mutation(g: BinaryGenome, p_mb: float,
@@ -267,7 +270,7 @@ def bit_flip_mutation(g: BinaryGenome, p_mb: float,
     flips = rng.random(len(g)) < p_mb
     if not flips.any():
         return g
-    return BinaryGenome(g.n, np.logical_xor(g.bits, flips))
+    return BinaryGenome._unchecked(g.n, np.logical_xor(g.bits, flips))
 
 
 def swap_mutation(g: PermutationGenome, p_mp: float,
@@ -282,7 +285,7 @@ def swap_mutation(g: PermutationGenome, p_mp: float,
     i, j = (int(x) for x in rng.choice(len(g), size=2, replace=False))
     order = list(g.order)
     order[i], order[j] = order[j], order[i]
-    return PermutationGenome(order)
+    return PermutationGenome._unchecked(tuple(order))
 
 
 def elitist_replace(prev: Subpopulation, offspring_members: list,
@@ -345,20 +348,21 @@ def evaluate(members: list, own_species: str, other_pop: Subpopulation,
     random partners come from a single rng draw made before any scoring.
     Every assembled pair is offered to `tracker` in scoring order.
     """
-    rand_idx = rng.integers(0, len(other_pop), size=len(members))
-    best_partner = [] if other_pop.fitness is None else [other_pop.best]
+    rand_idx = rng.integers(0, len(other_pop), size=len(members)).tolist()
+    best_partner = None if other_pop.fitness is None else other_pop.best
+    own_is_perm = own_species == PERMUTATION
+
+    def assemble(member, partner) -> float:
+        perm, bits = (member, partner) if own_is_perm else (partner, member)
+        score = score_parent_sets(data, decode_parents(perm.order, bits.bits), cache)
+        if tracker is not None:
+            tracker.update(perm, bits, score)
+        return score
+
     fitness = np.empty(len(members))
     for t, member in enumerate(members):
-        scores = []
-        for partner in best_partner + [other_pop.members[int(rand_idx[t])]]:
-            perm, bits = (member, partner) if own_species == PERMUTATION \
-                else (partner, member)
-            score = score_parent_sets(data, decode_parents(perm.order, bits.bits),
-                                      cache)
-            if tracker is not None:
-                tracker.update(perm, bits, score)
-            scores.append(score)
-        fitness[t] = max(scores)
+        best = -np.inf if best_partner is None else assemble(member, best_partner)
+        fitness[t] = max(best, assemble(member, other_pop.members[rand_idx[t]]))
     return fitness
 
 

@@ -167,19 +167,18 @@ def prequential_log_score(data: Dataset, dag: Dag) -> float:
         )
     arities = data.arities
     a = PSEUDO_COUNT
-    counts = []
-    for i in range(dag.n):
-        q = parent_config_count(dag.parents[i], arities)
-        counts.append(np.zeros((q, arities[i]), dtype=np.int64))
+    # per node: observed parent configuration index -> child value counts,
+    # so memory grows with the rows, not with the number of configurations
+    counts: list[dict[int, list[int]]] = [{} for _ in range(dag.n)]
     total = 0.0
     for row in data.rows:
         for i in range(dag.n):
             j = parent_config_index(row, dag.parents[i], arities)
             k = int(row[i])
-            c = counts[i]
-            predictive = (a + c[j, k]) / (arities[i] * a + c[j].sum())
+            c = counts[i].setdefault(j, [0] * arities[i])
+            predictive = (a + c[k]) / (arities[i] * a + sum(c))
             total += math.log(predictive)
-            c[j, k] += 1
+            c[k] += 1
     return total
 
 

@@ -11,6 +11,7 @@ from coevobn import (
     LocalScoreCache,
     PermutationGenome,
     ValidationError,
+    ancestral_sample,
     bde_log_score,
     count_dags,
     enumerate_dags,
@@ -18,6 +19,7 @@ from coevobn import (
     k2_learn,
     local_log_score,
     prequential_log_score,
+    random_network,
     score_all_dags,
 )
 from helpers import dataset, random_instance
@@ -124,6 +126,13 @@ class TestK2:
         expected = sum(local_log_score(data, node, dag.parents[node])
                        for node in range(2))
         assert score == pytest.approx(expected, rel=1e-12)
+
+    def test_score_equals_rescoring_the_dag_exactly(self):
+        net = random_network(8, 3, 0.4, seed=4)
+        data = ancestral_sample(net, 400, seed=5)
+        for seed in range(10):
+            dag, score = k2_learn(data, K2Config(seed=seed, max_parents=3))
+            assert score == bde_log_score(data, dag)
 
     def test_cache_does_not_change_outcome(self):
         rng = np.random.default_rng(12)

@@ -214,6 +214,8 @@ class TestDenseStructures:
                            "--out", str(tmp_path / "k2"), "--fit-cpts")
         assert code == 2
         assert "cells" in err and "DENSE_CELLS = 3" in err
+        assert not (tmp_path / "k2" / "k2_structure.json").exists()
+        assert not (tmp_path / "k2").exists()
 
 
 class TestLearnCcgaConfig:

@@ -3,11 +3,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import t as student_t
 from scipy.stats import ttest_ind
 
+import coevobn
 from coevobn import (
     ExperimentConfig,
     GaConfig,
@@ -68,6 +74,40 @@ class TestWelch:
         p = welch_one_tailed_t(a, b)
         assert 0.0 < p < 1.0
         assert 0.0 < welch_one_tailed_t(b, a) < 1.0
+
+    @staticmethod
+    def _reference(a, b) -> float:
+        """The same statistic, with the p-value from scipy.stats' t."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        va, vb = a.var(ddof=1), b.var(ddof=1)
+        se2 = va / a.size + vb / b.size
+        t_stat = (a.mean() - b.mean()) / math.sqrt(se2)
+        df = se2 ** 2 / ((va / a.size) ** 2 / (a.size - 1)
+                         + (vb / b.size) ** 2 / (b.size - 1))
+        p = float(student_t.sf(t_stat, df))
+        return float(min(max(p, 5e-324), 1.0 - 1e-16))
+
+    def test_equals_scipy_stats_t_sf_exactly(self):
+        rng = np.random.default_rng(3)
+        cases = [([1e6, 1e6 + 1, 1e6 - 1], [0.0, 1.0, -1.0])]
+        cases.append(cases[0][::-1])
+        for _ in range(200):
+            a = rng.normal(0, 1, size=int(rng.integers(2, 30)))
+            b = rng.normal(rng.normal(0, 2), rng.uniform(0.1, 3),
+                           size=int(rng.integers(2, 30)))
+            cases.append((a, b))
+        for a, b in cases:
+            assert welch_one_tailed_t(a, b) == self._reference(a, b)
+
+
+class TestImports:
+    def test_library_and_cli_do_not_load_scipy_stats(self):
+        src = str(Path(coevobn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, coevobn, coevobn.cli; "
+                "assert 'scipy.stats' not in sys.modules, "
+                "sorted(m for m in sys.modules if m.startswith('scipy.stats'))")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestDeriveSeed:

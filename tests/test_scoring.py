@@ -137,6 +137,12 @@ class TestObservedConfigurationFallback:
             assert local_log_score(data, node, parents) == \
                 pytest.approx(reference_local_score(data, node, ps), abs=1e-9)
 
+    def test_prequential_oracle_checks_a_family_above_the_limit(self):
+        data = distinct_parent_rows(29, 200)
+        dag = Dag(30, [range(1, 30)] + [()] * 29)
+        assert prequential_log_score(data, dag) == \
+            pytest.approx(bde_log_score(data, dag), abs=1e-9)
+
     def test_fit_network_refuses_a_table_above_the_limit(self):
         data = distinct_parent_rows(29, 200)
         dag = Dag(30, [range(1, 30)] + [()] * 29)
