@@ -6,14 +6,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
 
 from .bayesnet import Dag, Dataset
-from .encoding import PermutationGenome, decode_parents, triangular_size
+from .encoding import decode_parents, triangular_size
 from .errors import EmptyDataError, ValidationError, check_number
-from .scoring import LocalScoreCache, bde_log_score, local_log_score
+from .scoring import LocalScoreCache, local_log_score, score_parent_sets
 
 ENUMERATION_LIMIT = 5
 COUNT_LIMIT = 500           # count_dags(500) has 38,602 digits
@@ -23,8 +24,8 @@ TIE_TOLERANCE = 1e-9        # exhaustive_best: scores this close to the optimum 
 
 @dataclass
 class K2Config:
-    """Greedy search settings. ordering may be a PermutationGenome, an index
-    sequence, or "random" (drawn uniformly from the seed)."""
+    """Greedy search settings. ordering is "random" (drawn uniformly from
+    the seed) or a list of integers that permutes 0..n-1."""
 
     ordering: object = "random"
     max_parents: int = 10
@@ -33,61 +34,53 @@ class K2Config:
     def validate(self) -> None:
         check_number("max_parents", self.max_parents, integer=True, low=0)
         check_number("seed", self.seed, integer=True, low=0)
+        order = self.ordering
+        if isinstance(order, str) and order == "random":
+            return
+        if not isinstance(order, list) or not all(
+                isinstance(v, Integral) and not isinstance(v, bool) for v in order) \
+                or sorted(order) != list(range(len(order))):
+            raise ValidationError(f"ordering must be 'random' or a list of integers "
+                                  f"that permutes 0..n-1, got {order!r}")
 
 
-def _resolve_ordering(cfg: K2Config, n: int) -> tuple[int, ...]:
-    if isinstance(cfg.ordering, str):
-        if cfg.ordering != "random":
-            raise ValidationError(
-                f"ordering must be a permutation or 'random', got {cfg.ordering!r}"
-            )
-        rng = np.random.default_rng(cfg.seed)
-        return tuple(int(v) for v in rng.permutation(n))
-    order = cfg.ordering.order if isinstance(cfg.ordering, PermutationGenome) \
-        else PermutationGenome(cfg.ordering).order
-    if len(order) != n:
-        raise ValidationError(
-            f"ordering has {len(order)} entries but dataset has {n} columns"
-        )
-    return order
-
-
-def k2_learn(data: Dataset, cfg: K2Config,
-             cache: LocalScoreCache | None = None,
-             steps: list | None = None) -> tuple[Dag, float]:
+def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
     """Greedy structure search along a node ordering.
 
     Every node starts parentless; the single predecessor whose addition
     raises the node's local score the most is added, until no addition
     strictly improves it or max_parents is reached. Ties between candidate
-    parents go to the one earliest in the ordering. If `steps` is a list,
-    each accepted addition is appended as (node, parent, before, after).
+    parents go to the one earliest in the ordering.
     """
     cfg.validate()
     if data.n_rows == 0:
         raise EmptyDataError("cannot learn structures from a dataset with no rows")
     n = data.n_cols
-    order = _resolve_ordering(cfg, n)
+    if cfg.ordering == "random":
+        order = [int(v) for v in np.random.default_rng(cfg.seed).permutation(n)]
+    elif len(cfg.ordering) == n:
+        order = [int(v) for v in cfg.ordering]
+    else:
+        raise ValidationError(
+            f"ordering has {len(cfg.ordering)} entries but dataset has {n} columns"
+        )
     parent_sets: list[tuple[int, ...]] = [()] * n
     local_scores = [0.0] * n
     for pos, node in enumerate(order):
         chosen: list[int] = []
-        current = local_log_score(data, node, (), cache)
+        current = local_log_score(data, node, ())
         while len(chosen) < cfg.max_parents:
             best_score = current
             best_cand = None
             for cand in order[:pos]:
                 if cand in chosen:
                     continue
-                trial = tuple(sorted(chosen + [cand]))
-                s = local_log_score(data, node, trial, cache)
+                s = local_log_score(data, node, tuple(sorted(chosen + [cand])))
                 if s > best_score:  # strict: first best wins ties
                     best_score = s
                     best_cand = cand
             if best_cand is None:
                 break
-            if steps is not None:
-                steps.append((node, best_cand, current, best_score))
             chosen.append(best_cand)
             current = best_score
         parent_sets[node] = tuple(sorted(chosen))
@@ -149,9 +142,9 @@ def enumerate_dags(n: int) -> Iterator[Dag]:
 def score_all_dags(data: Dataset) -> Iterator[tuple[Dag, float]]:
     """Score every structure on the dataset's variables (small n only),
     memoizing local scores across structures."""
-    cache = LocalScoreCache()
+    cache = LocalScoreCache(data)
     for dag in enumerate_dags(data.n_cols):
-        yield dag, bde_log_score(data, dag, cache)
+        yield dag, score_parent_sets(dag.parents, cache)
 
 
 @dataclass

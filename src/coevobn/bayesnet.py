@@ -20,6 +20,10 @@ from .errors import ParseError, SchemaError, ValidationError, check_number
 
 ROW_SUM_TOL = 1e-9   # every CPT row must sum to 1 within this
 
+# Largest dense table of q * r cells: the largest CPT random_network draws,
+# and the largest count table scoring.count_stats tallies densely.
+DENSE_CELLS = 1 << 22
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -184,7 +188,7 @@ class BayesianNetwork:
                     f"CPT for {var.name!r} has shape {t.shape}; expected "
                     f"({q}, {var.arity}) = (parent configurations, arity)"
                 )
-            if np.any(t < 0.0) or np.any(t > 1.0):
+            if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
                 raise ValidationError(
                     f"CPT for {var.name!r} contains probabilities outside [0, 1]"
                 )
@@ -314,6 +318,11 @@ def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
             if rng.random() < edge_density:
                 parents[int(order[t])].append(int(order[s]))
     dag = Dag(n, parents)
+    for i in range(n):  # before any CPT is drawn
+        cells = parent_config_count(dag.parents[i], arities) * int(arities[i])
+        if cells > DENSE_CELLS:
+            raise ValidationError(f"node {i} ({variables[i].name}) needs a CPT of "
+                                  f"{cells} cells, above DENSE_CELLS = {DENSE_CELLS}")
     cpts = []
     for i in range(n):
         q = parent_config_count(dag.parents[i], arities)
@@ -344,6 +353,12 @@ def read_json(path) -> dict:
     return doc
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """A JSON number (an integer if `integer`); a bool never counts."""
+    return not isinstance(value, bool) and \
+        isinstance(value, int if integer else (int, float))
+
+
 def _parse_variables(doc: dict, path) -> list[Variable]:
     raw = doc.get("variables")
     if not isinstance(raw, list) or not raw:
@@ -354,7 +369,13 @@ def _parse_variables(doc: dict, path) -> list[Variable]:
             raise ParseError(
                 f"{path}: variables[{k}] must be an object with 'name' and 'arity'"
             )
-        variables.append(Variable(str(entry["name"]), int(entry["arity"])))
+        if not isinstance(entry["name"], str):
+            raise ParseError(f"{path}: variables[{k}].name must be a string, "
+                             f"got {entry['name']!r}")
+        if not _is_number(entry["arity"], integer=True):
+            raise ParseError(f"{path}: variables[{k}].arity must be an integer, "
+                             f"got {entry['arity']!r}")
+        variables.append(Variable(entry["name"], entry["arity"]))
     return variables
 
 
@@ -365,8 +386,9 @@ def _parse_parents(doc: dict, path, n: int) -> Dag:
             f"{path}: field 'parents' must be a list with one entry per variable ({n})"
         )
     for k, ps in enumerate(raw):
-        if not isinstance(ps, list):
-            raise ParseError(f"{path}: parents[{k}] must be a list of node indices")
+        if not isinstance(ps, list) or not all(_is_number(p, integer=True) for p in ps):
+            raise ParseError(f"{path}: parents[{k}] must be a list of node indices, "
+                             f"got {ps!r}")
     return Dag(n, raw)
 
 
@@ -393,6 +415,12 @@ def load_network(path) -> BayesianNetwork:
         raise ParseError(
             f"{path}: field 'cpts' must be a list with one table per variable"
         )
+    for k, table in enumerate(cpts):
+        if not isinstance(table, list) or not all(
+                isinstance(row, list) and len(row) == len(table[0])
+                and all(map(_is_number, row)) for row in table):
+            raise ParseError(f"{path}: cpts[{k}] must be a list of equal-length "
+                             f"rows of numbers")
     return BayesianNetwork(variables, dag, cpts)
 
 

@@ -197,25 +197,18 @@ def tournament_select(pop: Subpopulation, rng: np.random.Generator) -> list:
 
 
 def two_point_crossover(a: BinaryGenome, b: BinaryGenome,
-                        rng: np.random.Generator,
-                        cuts: tuple[int, int] | None = None
+                        rng: np.random.Generator
                         ) -> tuple[BinaryGenome, BinaryGenome]:
     """Exchange the middle of the three segments delimited by two distinct
     cut points (drawn uniformly without replacement from the boundaries
-    1..L). Genomes of length < 2 are returned unchanged. `cuts` fixes the
-    cut points, mainly for tests."""
+    1..L). Genomes of length < 2 are returned unchanged."""
     if a.n != b.n:
         raise EngineError(f"cannot cross genomes for n={a.n} and n={b.n}")
     L = len(a)
     if L < 2:
         return a, b
-    if cuts is None:
-        c1, c2 = sorted(int(c) for c in rng.choice(np.arange(1, L + 1), size=2,
-                                                   replace=False))
-    else:
-        c1, c2 = sorted(int(c) for c in cuts)
-        if not 0 <= c1 < c2 <= L:
-            raise EngineError(f"cut points must satisfy 0 <= c1 < c2 <= {L}, got {cuts}")
+    c1, c2 = sorted(int(c) for c in rng.choice(np.arange(1, L + 1), size=2,
+                                               replace=False))
     child1 = a.bits.copy()
     child1[c1:c2] = b.bits[c1:c2]
     child2 = b.bits.copy()
@@ -338,8 +331,7 @@ class _BestTracker:
 
 
 def evaluate(members: list, own_species: str, other_pop: Subpopulation,
-             data: Dataset, cache: LocalScoreCache,
-             rng: np.random.Generator,
+             cache: LocalScoreCache, rng: np.random.Generator,
              tracker: _BestTracker | None = None) -> np.ndarray:
     """Credit each member with the score of its best assembled solution.
 
@@ -354,7 +346,7 @@ def evaluate(members: list, own_species: str, other_pop: Subpopulation,
 
     def assemble(member, partner) -> float:
         perm, bits = (member, partner) if own_is_perm else (partner, member)
-        score = score_parent_sets(data, decode_parents(perm.order, bits.bits), cache)
+        score = score_parent_sets(decode_parents(perm.order, bits.bits), cache)
         if tracker is not None:
             tracker.update(perm, bits, score)
         return score
@@ -370,7 +362,7 @@ def _mean_fitness(perm_pop: Subpopulation, bin_pop: Subpopulation) -> float:
     return float(np.concatenate([perm_pop.fitness, bin_pop.fitness]).mean())
 
 
-def _species_generation(pop, other_pop, data, cache, rng, cfg, p_mb,
+def _species_generation(pop, other_pop, cache, rng, cfg, p_mb,
                         tracker) -> Subpopulation:
     size = len(pop)
     pool = tournament_select(pop, rng)
@@ -391,8 +383,7 @@ def _species_generation(pop, other_pop, data, cache, rng, cfg, p_mb,
             c1 = bit_flip_mutation(c1, p_mb, rng)
             c2 = bit_flip_mutation(c2, p_mb, rng)
         offspring.extend((c1, c2))
-    fitness = evaluate(offspring, pop.species, other_pop, data, cache, rng,
-                       tracker)
+    fitness = evaluate(offspring, pop.species, other_pop, cache, rng, tracker)
     return elitist_replace(pop, offspring, fitness)
 
 
@@ -406,7 +397,7 @@ def evolve(data: Dataset, cfg: GaConfig
     cfg.validate()
     if data.n_rows == 0:
         raise EmptyDataError("cannot evolve structures on a dataset with no rows")
-    cache = LocalScoreCache()
+    cache = LocalScoreCache(data)
     n = data.n_cols
     E = triangular_size(n)
     p_mb = cfg.p_mb if cfg.p_mb is not None else (1.0 / E if E else 0.0)
@@ -420,17 +411,16 @@ def evolve(data: Dataset, cfg: GaConfig
 
     # Both species are scored before either records fitness, so generation
     # 0 pairs every member with a random partner only.
-    perm_fitness = evaluate(perm_pop.members, PERMUTATION, bin_pop, data, cache,
-                            rng, tracker)
-    bin_fitness = evaluate(bin_pop.members, BINARY, perm_pop, data, cache, rng,
-                           tracker)
+    perm_fitness = evaluate(perm_pop.members, PERMUTATION, bin_pop, cache, rng,
+                            tracker)
+    bin_fitness = evaluate(bin_pop.members, BINARY, perm_pop, cache, rng, tracker)
     perm_pop.fitness, bin_pop.fitness = perm_fitness, bin_fitness
     trace.append(tracker.record(0, _mean_fitness(perm_pop, bin_pop)))
     for gen in range(1, cfg.generations + 1):
-        perm_pop = _species_generation(perm_pop, bin_pop, data, cache, rng,
-                                       cfg, p_mb, tracker)
-        bin_pop = _species_generation(bin_pop, perm_pop, data, cache, rng,
-                                      cfg, p_mb, tracker)
+        perm_pop = _species_generation(perm_pop, bin_pop, cache, rng, cfg, p_mb,
+                                       tracker)
+        bin_pop = _species_generation(bin_pop, perm_pop, cache, rng, cfg, p_mb,
+                                      tracker)
         trace.append(tracker.record(gen, _mean_fitness(perm_pop, bin_pop)))
 
     state = EvolutionState(cfg.generations, perm_pop, bin_pop,

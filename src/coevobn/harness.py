@@ -202,7 +202,6 @@ class ComparisonReport:
     master_seed: int
     runs: int
     entries: list[ComparisonEntry]
-    run_results: list[RunResult]
 
     def to_dict(self) -> dict:
         return {
@@ -235,7 +234,6 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     ground = _ground_truth(cfg)
 
     entries: list[ComparisonEntry] = []
-    all_results: list[RunResult] = []
     single_size = len(cfg.sample_sizes) == 1
 
     with open(out / "runs.csv", "w", newline="") as runs_f, \
@@ -249,7 +247,6 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
             runs_f.flush()
             timings_f.write(f"{key},{result.seconds:.6f}\n")
             timings_f.flush()
-            all_results.append(result)
 
         for size in cfg.sample_sizes:
             ccga_results: list[RunResult] = []
@@ -317,7 +314,7 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
                                  ccga_results)
             _save_best_structure(out / f"best_k2_{size}.json", ground, k2_results)
 
-    report = ComparisonReport(cfg.master_seed, cfg.runs, entries, all_results)
+    report = ComparisonReport(cfg.master_seed, cfg.runs, entries)
     (out / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2) + "\n")
     return report

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bayesnet import (
+    DENSE_CELLS,
     BayesianNetwork,
     Dag,
     Dataset,
@@ -31,39 +32,32 @@ from .errors import EmptyDataError, SchemaError, ValidationError
 # a row of a node with arity r carries r * PSEUDO_COUNT in total.
 PSEUDO_COUNT = 1.0
 
-# Largest q * r that count_stats tallies as a dense table; above it only the
-# parent configurations that occur in the data get a row.
-DENSE_CELLS = 1 << 22
 
+class LocalScoreCache(dict):
+    """Memo of (node, sorted parent tuple) -> local log-score on one dataset.
+    Not synchronized: share one cache within one thread only.
 
-class LocalScoreCache:
-    """Memo of (node, sorted parent tuple) -> local log-score, with hit and
-    miss counts. Not synchronized: share one cache within one thread only.
-
-    Every local term looked up through a cache counts once: a hit or a miss
-    in `get` (reached from `local_log_score`), or a hit that
-    `score_parent_sets` reads straight from the table. Each miss is one
-    `count_stats` call and one new entry.
+    `cache[node, parents]` computes a missing term with local_log_score and
+    counts it in `misses`: each miss is one count_stats call and one new
+    entry. score_parent_sets counts every term it reads in `lookups`, and
+    `hits` is the rest.
     """
 
-    def __init__(self):
-        self._table: dict[tuple[int, tuple[int, ...]], float] = {}
-        self.hits = 0
+    def __init__(self, data: Dataset):
+        super().__init__()
+        self.data = data
+        self.lookups = 0
         self.misses = 0
 
-    def get(self, node: int, parent_set: tuple[int, ...]) -> float | None:
-        value = self._table.get((node, parent_set))
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
+    def __missing__(self, key: tuple[int, tuple[int, ...]]) -> float:
+        node, parents = key
+        value = self[key] = local_log_score(self.data, node, parents)
+        self.misses += 1
         return value
 
-    def put(self, node: int, parent_set: tuple[int, ...], value: float) -> None:
-        self._table[(node, parent_set)] = value
-
-    def __len__(self) -> int:
-        return len(self._table)
+    @property
+    def hits(self) -> int:
+        return self.lookups - self.misses
 
 
 def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarray:
@@ -99,54 +93,38 @@ def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarr
     return np.bincount(flat, minlength=size).reshape(size // r, r)
 
 
-def local_log_score(data: Dataset, node: int, parent_set: Sequence[int],
-                    cache: LocalScoreCache | None = None) -> float:
+def local_log_score(data: Dataset, node: int, parent_set: Sequence[int]) -> float:
     """Log marginal likelihood contribution of one node given its parents."""
-    key = tuple(sorted(int(p) for p in parent_set))
-    if cache is not None:
-        hit = cache.get(node, key)
-        if hit is not None:
-            return hit
-    counts = count_stats(data, node, key)
+    counts = count_stats(data, node, parent_set)
     a = PSEUDO_COUNT
     row_prior = data.arities[node] * a
-    score = float(
+    return float(
         np.sum(gammaln(row_prior) - gammaln(row_prior + counts.sum(axis=1)))
         + np.sum(gammaln(a + counts) - gammaln(a))
     )
-    if cache is not None:
-        cache.put(node, key, score)
-    return score
 
 
-def score_parent_sets(data: Dataset, parent_sets: Sequence[tuple[int, ...]],
-                      cache: LocalScoreCache | None) -> float:
-    """Sum of local scores for an entire family of parent sets (hot path).
-
-    A parent tuple that is already a key of the cache is read straight
-    from its table; anything else (no cache, a miss, a list, an unsorted
-    tuple) goes through local_log_score, which normalizes the key.
-    """
+def score_parent_sets(parent_sets: Sequence[tuple[int, ...]],
+                      cache: LocalScoreCache) -> float:
+    """Sum of the cached local scores of one sorted parent tuple per node,
+    as decode_parents and Dag.parents give them (hot path)."""
+    cache.lookups += len(parent_sets)
     total = 0.0
-    table = cache._table if cache is not None else {}
-    for node, ps in enumerate(parent_sets):
-        value = table.get((node, ps)) if type(ps) is tuple else None
-        if value is None:
-            value = local_log_score(data, node, ps, cache)
-        else:
-            cache.hits += 1
-        total += value
+    for key in enumerate(parent_sets):  # += in node order; sum() would compensate
+        total += cache[key]
     return total
 
 
-def bde_log_score(data: Dataset, dag: Dag,
-                  cache: LocalScoreCache | None = None) -> float:
+def bde_log_score(data: Dataset, dag: Dag) -> float:
     """Log marginal likelihood of the data under the structure."""
     if dag.n != data.n_cols:
         raise SchemaError(
             f"structure has {dag.n} nodes but dataset has {data.n_cols} columns"
         )
-    return score_parent_sets(data, dag.parents, cache)
+    total = 0.0
+    for node, parents in enumerate(dag.parents):
+        total += local_log_score(data, node, parents)
+    return total
 
 
 def prequential_log_score(data: Dataset, dag: Dag) -> float:

@@ -8,8 +8,6 @@ from coevobn import (
     Dag,
     EmptyDataError,
     K2Config,
-    LocalScoreCache,
-    PermutationGenome,
     ValidationError,
     ancestral_sample,
     bde_log_score,
@@ -109,16 +107,38 @@ class TestK2:
             assert position[parent] < position[child]
         assert all(len(ps) <= cap for ps in dag.parents)
 
-    def test_accepted_steps_strictly_improve(self):
+    @staticmethod
+    def or_data():
         rng = np.random.default_rng(8)
         rows = rng.integers(0, 2, size=(300, 4))
         rows[:, 3] = rows[:, 0] | rows[:, 1]  # detectable one parent at a time
-        data = dataset([2] * 4, rows)
-        steps = []
-        k2_learn(data, K2Config(ordering=[0, 1, 2, 3]), steps=steps)
-        assert steps  # at least one addition happened
-        for _, _, before, after in steps:
-            assert after > before
+        return dataset([2] * 4, rows)
+
+    def test_accepted_steps_strictly_improve(self):
+        data = self.or_data()
+        dag, _ = k2_learn(data, K2Config(ordering=[0, 1, 2, 3]))
+        assert dag.edge_count  # at least one addition happened
+        for node, parents in enumerate(dag.parents):
+            if parents:
+                assert local_log_score(data, node, parents) > \
+                    local_log_score(data, node, ())
+
+    @pytest.mark.parametrize("cap", [1, 10])
+    def test_no_single_addition_improves_a_final_parent_set(self, cap):
+        # K2's stopping rule: below max_parents, a node stops only once no
+        # predecessor added to its parents strictly raises its local score
+        data = self.or_data()
+        order = [0, 1, 2, 3]
+        dag, _ = k2_learn(data, K2Config(ordering=order, max_parents=cap))
+        for pos, node in enumerate(order):
+            parents = dag.parents[node]
+            if len(parents) == cap:
+                continue
+            final = local_log_score(data, node, parents)
+            for cand in order[:pos]:
+                if cand not in parents:
+                    grown = tuple(sorted(parents + (cand,)))
+                    assert local_log_score(data, node, grown) <= final
 
     def test_score_matches_sum_of_local_scores(self):
         data = deterministic_copy_data()
@@ -134,25 +154,11 @@ class TestK2:
             dag, score = k2_learn(data, K2Config(seed=seed, max_parents=3))
             assert score == bde_log_score(data, dag)
 
-    def test_cache_does_not_change_outcome(self):
-        rng = np.random.default_rng(12)
-        data, _ = random_instance(rng, max_nodes=4, max_rows=150)
-        cfg = K2Config(seed=5)
-        dag_cached, score_cached = k2_learn(data, cfg, cache=LocalScoreCache())
-        dag_plain, score_plain = k2_learn(data, cfg, cache=None)
-        assert dag_cached == dag_plain
-        assert score_cached == score_plain
-
     def test_random_ordering_is_seeded(self):
         data = deterministic_copy_data()
         a = k2_learn(data, K2Config(seed=3))
         b = k2_learn(data, K2Config(seed=3))
         assert a == b
-
-    def test_permutation_genome_accepted(self):
-        data = deterministic_copy_data()
-        dag, _ = k2_learn(data, K2Config(ordering=PermutationGenome([0, 1])))
-        assert dag.parents == ((), (0,))
 
     def test_invalid_ordering_rejected(self):
         data = deterministic_copy_data()

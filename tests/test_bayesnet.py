@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from coevobn import bayesnet
 from coevobn import (
     BayesianNetwork,
     Dag,
@@ -167,6 +168,16 @@ class TestRandomNetwork:
     def test_bad_density_rejected(self):
         with pytest.raises(ValidationError):
             random_network(3, 2, 1.5, seed=0)
+
+    def test_cpt_above_the_dense_limit_rejected_before_drawing(self, monkeypatch):
+        # a complete binary DAG on 3 nodes: its last node has 2 * 2 * 2 cells
+        full = random_network(3, 2, 1.0, seed=0)
+        monkeypatch.setattr(bayesnet, "DENSE_CELLS", 8)
+        at_limit = random_network(3, 2, 1.0, seed=0)
+        assert all(np.array_equal(a, b) for a, b in zip(full.cpts, at_limit.cpts))
+        monkeypatch.setattr(bayesnet, "DENSE_CELLS", 7)
+        with pytest.raises(ValidationError, match="8 cells, above DENSE_CELLS = 7"):
+            random_network(3, 2, 1.0, seed=0)
 
 
 class TestNetworkIO:

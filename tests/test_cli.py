@@ -23,6 +23,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def capped_env():
+    """Environment of a child coevobn process that runs this checkout."""
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=str(Path(coevobn.__file__).parents[1]))
+
+
 class TestCountDags:
     def test_six_nodes(self, capsys):
         code, out, _ = run(capsys, "count-dags", "6")
@@ -188,16 +198,11 @@ class TestDenseStructures:
         save_dataset(data, tmp_path / "data.csv")
         save_structure(data.variables, dag, tmp_path / "net.json")
 
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(coevobn.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "coevobn.cli", "score",
              "--net", str(tmp_path / "net.json"),
              "--data", str(tmp_path / "data.csv")],
-            env=env, preexec_fn=cap_address_space, capture_output=True,
+            env=capped_env(), preexec_fn=cap_address_space, capture_output=True,
             text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         expected = sum(reference_local_score(data, i, ps)
@@ -216,6 +221,50 @@ class TestDenseStructures:
         assert "cells" in err and "DENSE_CELLS = 3" in err
         assert not (tmp_path / "k2" / "k2_structure.json").exists()
         assert not (tmp_path / "k2").exists()
+
+    def test_random_net_above_the_dense_limit_is_usage_error(self, tmp_path):
+        # a complete 30-node DAG needs CPTs of up to 2**30 cells
+        proc = subprocess.run(
+            [sys.executable, "-m", "coevobn.cli", "random-net", "--nodes", "30",
+             "--density", "1.0", "--out-file", str(tmp_path / "net.json")],
+            env=capped_env(), preexec_fn=cap_address_space, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "cells, above DENSE_CELLS" in proc.stderr
+        assert not (tmp_path / "net.json").exists()
+
+
+class TestMalformedNetworkFile:
+    NET = {"variables": [{"name": "A", "arity": 2}, {"name": "B", "arity": 2}],
+           "parents": [[], [0]],
+           "cpts": [[[0.5, 0.5]], [[0.9, 0.1], [0.2, 0.8]]]}
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("variables", 0, "name"), None, "variables[0].name"),
+        (("variables", 0, "arity"), "x", "variables[0].arity"),
+        (("variables", 0, "arity"), 2.7, "variables[0].arity"),
+        (("variables", 1, "arity"), True, "variables[1].arity"),
+        (("parents", 1, 0), "a", "parents[1]"),
+        (("parents", 1, 0), 0.5, "parents[1]"),
+        (("cpts", 0), "abc", "cpts[0]"),
+        (("cpts", 1, 1), [0.2], "cpts[1]"),
+        (("cpts", 1, 1, 0), "0.2", "cpts[1]"),
+        (("cpts", 1, 1, 0), float("nan"), "probabilities outside [0, 1]"),
+    ], ids=["name-null", "arity-string", "arity-float", "arity-bool",
+            "parent-string", "parent-float", "cpt-string", "cpt-ragged",
+            "cpt-cell-string", "cpt-nan"])
+    def test_sample_exits_2_naming_the_field(self, capsys, tmp_path, path,
+                                             value, field):
+        doc = json.loads(json.dumps(self.NET))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "sample", "--net", str(net), "--rows", "5")
+        assert code == 2
+        assert field in err
 
 
 class TestLearnCcgaConfig:
@@ -323,6 +372,12 @@ class TestCompare:
         ({"k2": {"max_parents": None}}, "max_parents"),
         ({"generator": {"nodes": "4"}}, "nodes"),
         ({"generator": {"nodes": 4, "edge_density": "0.4"}}, "edge_density"),
+        ({"k2": {"ordering": 5}}, "ordering"),
+        ({"k2": {"ordering": None}}, "ordering"),
+        ({"k2": {"ordering": "randomly"}}, "ordering"),
+        ({"k2": {"ordering": [0.5, 1.7, 2, 3]}}, "ordering"),
+        ({"k2": {"ordering": [True, False, 2, 3]}}, "ordering"),
+        ({"k2": {"ordering": [0, 0, 1, 2]}}, "ordering"),
     ])
     def test_wrong_typed_value_is_usage_error(self, capsys, tmp_path, overrides,
                                               field):

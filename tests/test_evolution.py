@@ -35,6 +35,18 @@ def subpop_with_fitness(species, members, fitness):
     return Subpopulation(species, members, np.asarray(fitness, dtype=float))
 
 
+class CutsRng:
+    """Stands in for a Generator whose `choice` draws the given cut points."""
+
+    def __init__(self, cuts):
+        self.cuts = cuts
+
+    def choice(self, boundaries, size, replace):
+        assert size == 2 and not replace
+        assert all(c in boundaries for c in self.cuts)
+        return np.array(self.cuts)
+
+
 class TestConfig:
     def test_odd_population_rejected(self):
         with pytest.raises(ValidationError, match="even"):
@@ -115,7 +127,7 @@ class TestTwoPointCrossover:
     def test_worked_segment_swap(self):
         a = BinaryGenome(4, [0, 0, 0, 0, 0, 0])
         b = BinaryGenome(4, [1, 1, 1, 1, 1, 1])
-        c1, c2 = two_point_crossover(a, b, np.random.default_rng(0), cuts=(2, 4))
+        c1, c2 = two_point_crossover(a, b, CutsRng((4, 2)))
         assert c1.to01() == "001100"
         assert c2.to01() == "110011"
 
@@ -254,7 +266,7 @@ class TestEvaluate:
         perm = PermutationGenome([0, 1, 2])
         bits = BinaryGenome(3, [1, 0, 1])
         other = subpop_with_fitness(BINARY, [bits], [-1.0])
-        got = evaluate([perm], PERMUTATION, other, self.data, LocalScoreCache(),
+        got = evaluate([perm], PERMUTATION, other, LocalScoreCache(self.data),
                        np.random.default_rng(0))
         assert got.tolist() == [pytest.approx(self.score_pair(perm, bits))]
 
@@ -264,7 +276,7 @@ class TestEvaluate:
         perms = [PermutationGenome([2, 0, 1]), PermutationGenome([1, 2, 0])]
         fitness = [self.score_pair(perms[0], b) for b in members]
         other = subpop_with_fitness(BINARY, members, fitness)
-        got = evaluate(perms, PERMUTATION, other, self.data, LocalScoreCache(),
+        got = evaluate(perms, PERMUTATION, other, LocalScoreCache(self.data),
                        np.random.default_rng(5))
         assert got.shape == (2,)
         for perm, score in zip(perms, got):
@@ -274,9 +286,9 @@ class TestEvaluate:
         perms = [PermutationGenome([0, 1, 2]), PermutationGenome([2, 1, 0])]
         members = [BinaryGenome(3, [1, 0, 0]), BinaryGenome(3, [0, 1, 1])]
         other = Subpopulation(BINARY, members)  # no fitness: random partner only
-        a = evaluate(perms, PERMUTATION, other, self.data, LocalScoreCache(),
+        a = evaluate(perms, PERMUTATION, other, LocalScoreCache(self.data),
                      np.random.default_rng(8))
-        b = evaluate(perms, PERMUTATION, other, self.data, LocalScoreCache(),
+        b = evaluate(perms, PERMUTATION, other, LocalScoreCache(self.data),
                      np.random.default_rng(8))
         assert a.tolist() == b.tolist()
 

@@ -161,21 +161,21 @@ class TestLocalLogScore:
 
     def test_cache_returns_identical_value_without_recount(self):
         data = dataset([2, 2], [[0, 1], [1, 0], [1, 1]])
-        cache = LocalScoreCache()
-        first = local_log_score(data, 1, (0,), cache=cache)
-        assert cache.misses == 1 and cache.hits == 0
-        second = local_log_score(data, 1, (0,), cache=cache)
-        assert cache.hits == 1
+        cache = LocalScoreCache(data)
+        first = score_parent_sets(((), (0,)), cache)
+        assert (cache.lookups, cache.misses, cache.hits) == (2, 2, 0)
+        second = score_parent_sets(((), (0,)), cache)
+        assert (cache.lookups, cache.misses, cache.hits) == (4, 2, 2)
         assert first == second  # bit-identical
 
     def test_cached_value_matches_fresh_recomputation(self):
         rng = np.random.default_rng(5)
         data, dag = random_instance(rng)
-        cache = LocalScoreCache()
+        cache = LocalScoreCache(data)
         for node in range(data.n_cols):
-            with_cache = local_log_score(data, node, dag.parents[node], cache=cache)
-            plain = local_log_score(data, node, dag.parents[node])
-            assert with_cache == plain
+            assert cache[node, dag.parents[node]] == \
+                local_log_score(data, node, dag.parents[node])
+        assert cache.misses == len(cache) == data.n_cols
 
 
 class TestBdeLogScore:
@@ -224,8 +224,8 @@ class TestBdeLogScore:
     def test_cache_transparent_for_whole_graphs(self):
         rng = np.random.default_rng(23)
         data, dag = random_instance(rng)
-        assert bde_log_score(data, dag, cache=LocalScoreCache()) == \
-            bde_log_score(data, dag, cache=None)
+        assert score_parent_sets(dag.parents, LocalScoreCache(data)) == \
+            bde_log_score(data, dag)
 
 
 def random_families(rng, n, count):
@@ -253,29 +253,26 @@ class TestScoreParentSetsCache:
         real = scoring.count_stats
         monkeypatch.setattr(scoring, "count_stats",
                             lambda *args: calls.append(args) or real(*args))
-        cache = LocalScoreCache()
-        totals = [score_parent_sets(self.data, fam, cache)
+        cache = LocalScoreCache(self.data)
+        totals = [score_parent_sets(fam, cache)
                   for _ in range(2) for fam in families]
         return totals, cache, len(calls)
 
     def test_cached_totals_equal_uncached_and_counts_are_exact(self, monkeypatch):
         totals, cache, count_calls = self.score_twice(self.families, monkeypatch)
-        uncached = [score_parent_sets(self.data, fam, None)
+        uncached = [bde_log_score(self.data, Dag._unchecked(5, fam))
                     for fam in self.families]
         assert totals == uncached + uncached  # bit-identical, both passes
         keys = {(node, ps) for fam in self.families for node, ps in enumerate(fam)}
         assert cache.misses == len(cache) == count_calls == len(keys)
         assert cache.hits + cache.misses == 2 * len(self.families) * 5
 
-    @pytest.mark.parametrize("variant", [
-        lambda ps: tuple(reversed(ps)),
-        lambda ps: tuple(np.int64(p) for p in ps),
-        list,
-    ], ids=["unsorted-tuple", "numpy-ints", "list"])
     def test_any_parent_sequence_scores_and_counts_like_sorted_tuples(
-            self, variant, monkeypatch):
+            self, monkeypatch):
+        # sorted tuples of numpy integers hash and compare like Python ints
         baseline = self.score_twice(self.families, monkeypatch)
-        changed = [tuple(variant(ps) for ps in fam) for fam in self.families]
+        changed = [tuple(tuple(np.int64(p) for p in ps) for ps in fam)
+                   for fam in self.families]
         totals, cache, count_calls = self.score_twice(changed, monkeypatch)
         assert totals == baseline[0]
         assert (cache.hits, cache.misses, len(cache), count_calls) == \
