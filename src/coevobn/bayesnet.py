@@ -286,14 +286,19 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
     check_number("seed", seed, integer=True, low=0)
     rng = np.random.default_rng(seed)
     arities = net.arities
-    values = np.zeros((count, net.n), dtype=np.int64)
-    for i in net.dag.topological_order():
-        cdf = np.cumsum(net.cpts[i], axis=1)
-        cdf[:, -1] = 1.0  # guard against ROW_SUM_TOL normalization slack
-        rows = parent_config_indices(values, net.dag.parents[i], arities)
-        u = rng.random(count)
-        values[:, i] = (u[:, None] >= cdf[rows]).sum(axis=1)
-    return Dataset(net.variables, values)
+    try:
+        values = np.zeros((count, net.n), dtype=np.int64)
+        for i in net.dag.topological_order():
+            cdf = np.cumsum(net.cpts[i], axis=1)
+            cdf[:, -1] = 1.0  # guard against ROW_SUM_TOL normalization slack
+            rows = parent_config_indices(values, net.dag.parents[i], arities)
+            u = rng.random(count)
+            values[:, i] = (u[:, None] >= cdf[rows]).sum(axis=1)
+        return Dataset(net.variables, values)
+    except MemoryError:
+        raise ValidationError(
+            f"out of memory sampling {count} rows of {net.n} values: their "
+            f"int64 table alone asks for {count * net.n * 8} bytes") from None
 
 
 def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .baselines import K2Config, k2_learn
 from .bayesnet import (
@@ -60,8 +59,11 @@ def welch_one_tailed_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> 
     """One-tailed p-value for H1: mean(a) > mean(b), unequal variances.
 
     Uses the unequal-variance t statistic with Welch-Satterthwaite degrees
-    of freedom; equal samples give exactly 0.5.
+    of freedom; equal samples give exactly 0.5. This is the library's only
+    use of scipy, imported here so that no other command pays for loading it.
     """
+    from scipy.special import stdtr
+
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
     if a.size < 2 or b.size < 2:
@@ -229,9 +231,12 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     with the same seed give byte-identical runs.csv and report.json.
     """
     cfg.validate()
+    ground = _ground_truth(cfg)
+    if cfg.k2.ordering != "random" and len(cfg.k2.ordering) != ground.n:
+        raise ValidationError(f"k2 ordering has {len(cfg.k2.ordering)} entries but "
+                              f"the ground-truth network has {ground.n} nodes")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ground = _ground_truth(cfg)
 
     entries: list[ComparisonEntry] = []
     single_size = len(cfg.sample_sizes) == 1

@@ -15,7 +15,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bayesnet import (
     DENSE_CELLS,
@@ -30,7 +29,12 @@ from .errors import EmptyDataError, SchemaError, ValidationError
 
 # Dirichlet pseudo-count of every (parent configuration, child value) cell;
 # a row of a node with arity r carries r * PSEUDO_COUNT in total.
+# local_log_score uses the factorial form of BDe, which holds for a
+# pseudo-count of 1 only.
 PSEUDO_COUNT = 1.0
+
+# _LOG_FACTORIALS[j] = log(j!), j = 0, 1, ...; grown on demand
+_LOG_FACTORIALS = np.zeros(2)
 
 
 class LocalScoreCache(dict):
@@ -93,15 +97,28 @@ def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarr
     return np.bincount(flat, minlength=size).reshape(size // r, r)
 
 
+def _log_factorials(size: int) -> np.ndarray:
+    """A table of log(j!) for j = 0 .. at least size - 1. Entries 0 and 1
+    are exactly 0.0, so an empty cell or row adds exactly 0 to a score."""
+    global _LOG_FACTORIALS
+    have = len(_LOG_FACTORIALS)
+    if have < size:
+        grown = max(size, 2 * have)
+        more = np.fromiter((math.lgamma(j + 1) for j in range(have, grown)),
+                           float, grown - have)
+        _LOG_FACTORIALS = np.concatenate([_LOG_FACTORIALS, more])
+    return _LOG_FACTORIALS
+
+
 def local_log_score(data: Dataset, node: int, parent_set: Sequence[int]) -> float:
-    """Log marginal likelihood contribution of one node given its parents."""
+    """Log marginal likelihood contribution of one node given its parents,
+    in Cooper & Herskovits' form: the sum over parent configurations j of
+    log((r-1)!) - log((N_j + r - 1)!) + sum over values k of log(N_jk!)."""
     counts = count_stats(data, node, parent_set)
-    a = PSEUDO_COUNT
-    row_prior = data.arities[node] * a
-    return float(
-        np.sum(gammaln(row_prior) - gammaln(row_prior + counts.sum(axis=1)))
-        + np.sum(gammaln(a + counts) - gammaln(a))
-    )
+    r = data.arities[node]
+    lf = _log_factorials(data.n_rows + r)
+    return float(np.sum(lf[r - 1] - lf[counts.sum(axis=1) + (r - 1)])
+                 + np.sum(lf[counts]))
 
 
 def score_parent_sets(parent_sets: Sequence[tuple[int, ...]],

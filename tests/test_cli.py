@@ -233,6 +233,20 @@ class TestDenseStructures:
         assert "cells, above DENSE_CELLS" in proc.stderr
         assert not (tmp_path / "net.json").exists()
 
+    def test_sample_of_too_many_rows_is_usage_error(self, capsys, tmp_path):
+        # 10**11 rows of 5 int64 values ask for 4 TB
+        net = tmp_path / "net.json"
+        run(capsys, "random-net", "--nodes", "5", "--out-file", str(net))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coevobn.cli", "sample", "--net", str(net),
+             "--rows", "100000000000", "--out-file", str(tmp_path / "data.csv")],
+            env=capped_env(), preexec_fn=cap_address_space, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "100000000000 rows" in proc.stderr
+        assert "4000000000000 bytes" in proc.stderr
+        assert not (tmp_path / "data.csv").exists()
+
 
 class TestMalformedNetworkFile:
     NET = {"variables": [{"name": "A", "arity": 2}, {"name": "B", "arity": 2}],
@@ -378,6 +392,7 @@ class TestCompare:
         ({"k2": {"ordering": [0.5, 1.7, 2, 3]}}, "ordering"),
         ({"k2": {"ordering": [True, False, 2, 3]}}, "ordering"),
         ({"k2": {"ordering": [0, 0, 1, 2]}}, "ordering"),
+        ({"k2": {"ordering": [0, 1, 2]}}, "ordering"),
     ])
     def test_wrong_typed_value_is_usage_error(self, capsys, tmp_path, overrides,
                                               field):

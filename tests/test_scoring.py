@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from coevobn import scoring
 from coevobn import (
@@ -176,6 +177,60 @@ class TestLocalLogScore:
             assert cache[node, dag.parents[node]] == \
                 local_log_score(data, node, dag.parents[node])
         assert cache.misses == len(cache) == data.n_cols
+
+
+def gammaln_local_score(data, node, parents):
+    """BDe local score with unit pseudo-counts in the Gamma-function form,
+    over the dense reference tally."""
+    counts = reference_counts(data, node, sorted(parents))
+    r = data.arities[node]
+    return float(np.sum(gammaln(r) - gammaln(r + counts.sum(axis=1)))
+                 + np.sum(gammaln(1 + counts) - gammaln(1)))
+
+
+class TestLogFactorialTable:
+    @pytest.mark.parametrize("dense_cells", [scoring.DENSE_CELLS, 0],
+                             ids=["dense", "sparse"])
+    def test_matches_the_gammaln_form(self, monkeypatch, dense_cells):
+        monkeypatch.setattr(scoring, "DENSE_CELLS", dense_cells)
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            data, node, parents = random_family(rng, 8, 4, 300)
+            assert local_log_score(data, node, parents) == \
+                pytest.approx(gammaln_local_score(data, node, parents), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 50, 5000])
+    def test_counts_up_to_the_row_count(self, m):
+        # every row in one cell, so the table is read at n_rows + r - 1
+        data = dataset([3, 2], np.zeros((m, 2), dtype=int))
+        for node, parents in [(0, ()), (0, (1,)), (1, (0,))]:
+            assert local_log_score(data, node, parents) == \
+                pytest.approx(gammaln_local_score(data, node, parents), rel=1e-12)
+
+    def test_unobserved_row_adds_exactly_zero(self, monkeypatch):
+        # parent value 1 never occurs: the dense table has an all-zero row
+        # that the observed-configuration tally leaves out
+        data = dataset([3, 2], [[0, 1], [2, 0], [0, 0], [2, 1], [2, 1], [0, 1]])
+        assert count_stats(data, 1, (0,)).shape == (3, 2)
+        dense = local_log_score(data, 1, (0,))
+        monkeypatch.setattr(scoring, "DENSE_CELLS", 0)
+        assert count_stats(data, 1, (0,)).shape == (2, 2)
+        assert local_log_score(data, 1, (0,)) == dense
+        assert scoring._log_factorials(2)[:2].tolist() == [0.0, 0.0]
+
+    def test_table_grows_and_keeps_its_values(self, monkeypatch):
+        monkeypatch.setattr(scoring, "_LOG_FACTORIALS", np.zeros(2))
+        rng = np.random.default_rng(3)
+        small = dataset([3, 2], rng.integers(0, 2, size=(50, 2)))
+        large = dataset([3, 2], rng.integers(0, 2, size=(5000, 2)))
+        first = local_log_score(small, 0, (1,))
+        after_small = len(scoring._LOG_FACTORIALS)
+        assert after_small >= 50 + 3
+        local_log_score(large, 0, (1,))
+        assert len(scoring._LOG_FACTORIALS) >= 5000 + 3 > after_small
+        assert local_log_score(small, 0, (1,)) == first
+        table = scoring._LOG_FACTORIALS
+        assert table[:20].tolist() == [math.lgamma(j + 1) for j in range(20)]
 
 
 class TestBdeLogScore:
