@@ -72,7 +72,6 @@ from .evolution import (
 from .harness import (
     ComparisonReport,
     ExperimentConfig,
-    RunResult,
     derive_seed,
     run_comparison,
     score_structure,

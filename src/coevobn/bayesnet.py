@@ -34,7 +34,8 @@ class Variable:
 
 
 def check_variables(variables: Sequence[Variable]) -> None:
-    """Raise ValidationError unless names are unique and non-empty and arities >= 2."""
+    """Raise ValidationError unless names are unique and non-empty and every
+    arity lies in 2..DENSE_CELLS, so that one variable's counts fit a table."""
     seen = set()
     for var in variables:
         if not var.name:
@@ -44,10 +45,9 @@ def check_variables(variables: Sequence[Variable]) -> None:
                 f"duplicate variable name {var.name!r}; names within a network must be unique"
             )
         seen.add(var.name)
-        if var.arity < 2:
-            raise ValidationError(
-                f"variable {var.name!r} has arity {var.arity}; arity must be >= 2"
-            )
+        if not 2 <= var.arity <= DENSE_CELLS:
+            raise ValidationError(f"variable {var.name!r} has arity {var.arity}; "
+                                  f"arity must lie in 2..DENSE_CELLS = {DENSE_CELLS}")
 
 
 class Dag:

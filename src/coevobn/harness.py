@@ -44,9 +44,9 @@ _STREAM_DATASET = 0
 _STREAM_CCGA = 1
 _STREAM_K2 = 2
 
-# generator key -> (integer?, default); "nodes" has no default
-_GENERATOR_FIELDS = {"nodes": (True, None), "max_arity": (True, 2),
-                     "edge_density": (False, 0.2), "seed": (True, 0)}
+# generator key -> integer?; the defaults are random_network's
+_GENERATOR_FIELDS = {"nodes": True, "max_arity": True, "edge_density": False,
+                     "seed": True}
 
 
 def derive_seed(master: int, *keys: int) -> int:
@@ -62,8 +62,6 @@ def welch_one_tailed_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> 
     of freedom; equal samples give exactly 0.5. This is the library's only
     use of scipy, imported here so that no other command pays for loading it.
     """
-    from scipy.special import stdtr
-
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
     if a.size < 2 or b.size < 2:
@@ -73,6 +71,8 @@ def welch_one_tailed_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> 
     va, vb = a.var(ddof=1), b.var(ddof=1)
     if va + vb == 0.0:
         raise ValidationError("both samples have zero variance; t is undefined")
+    from scipy.special import stdtr
+
     se2 = va / a.size + vb / b.size
     t_stat = (a.mean() - b.mean()) / math.sqrt(se2)
     df = se2 ** 2 / ((va / a.size) ** 2 / (a.size - 1)
@@ -119,7 +119,7 @@ class ExperimentConfig:
                 raise ValidationError("generator must give 'nodes'")
             for name, value in self.generator.items():
                 check_number(f"generator {name}", value,
-                             integer=_GENERATOR_FIELDS[name][0])
+                             integer=_GENERATOR_FIELDS[name])
         check_number("runs", self.runs, integer=True, low=1)
         check_number("master_seed", self.master_seed, integer=True, low=0)
         if not isinstance(self.sample_sizes, list) or not self.sample_sizes:
@@ -145,16 +145,6 @@ class ExperimentConfig:
         cfg.k2 = config_from_dict(K2Config, doc.get("k2", {}), "k2 config",
                                   exclude=("seed",))
         return cfg
-
-
-@dataclass
-class RunResult:
-    algorithm: str
-    run_index: int
-    dataset_id: str
-    best_score: float
-    seconds: float
-    dag: Dag | None = None
 
 
 @dataclass
@@ -216,10 +206,8 @@ class ComparisonReport:
 def _ground_truth(cfg: ExperimentConfig) -> BayesianNetwork:
     if cfg.network_file is not None:
         return load_network(cfg.network_file)
-    gen = {name: default for name, (_, default) in _GENERATOR_FIELDS.items()}
-    gen.update(cfg.generator)
-    return random_network(gen["nodes"], gen["max_arity"], gen["edge_density"],
-                          gen["seed"])
+    gen = dict(cfg.generator)
+    return random_network(gen.pop("nodes"), **gen)
 
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
@@ -246,20 +234,27 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
         runs_f.write("algorithm,run,dataset,best_score\n")
         timings_f.write("algorithm,run,dataset,seconds\n")
 
-        def emit(result: RunResult) -> None:
-            key = f"{result.algorithm},{result.run_index},{result.dataset_id}"
-            runs_f.write(f"{key},{result.best_score:.6f}\n")
-            runs_f.flush()
-            timings_f.write(f"{key},{result.seconds:.6f}\n")
-            timings_f.flush()
-
         for size in cfg.sample_sizes:
-            ccga_results: list[RunResult] = []
-            k2_results: list[RunResult] = []
-            original_results: list[RunResult] = []
+            # Statistics over the 6-decimal values written to runs.csv, so a
+            # reader of that file reproduces the report exactly.
+            scores: dict[str, list[float]] = {"ccga": [], "k2": [], "original": []}
+            best: dict[str, tuple[float, Dag]] = {}
             traces = []
+
+            def record(algorithm: str, run: int, score: float, seconds: float,
+                       dag: Dag) -> None:
+                """Write and flush one run's rows; keep the best (score, dag),
+                the earlier run winning ties."""
+                key = f"{algorithm},{run},s{size}-r{run}"
+                runs_f.write(f"{key},{score:.6f}\n")
+                runs_f.flush()
+                timings_f.write(f"{key},{seconds:.6f}\n")
+                timings_f.flush()
+                scores[algorithm].append(round(score, 6))
+                if algorithm not in best or score > best[algorithm][0]:
+                    best[algorithm] = (score, dag)
+
             for run in range(cfg.runs):
-                dataset_id = f"s{size}-r{run}"
                 data = ancestral_sample(
                     ground, size, derive_seed(cfg.master_seed, size, run,
                                               _STREAM_DATASET))
@@ -268,56 +263,35 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
                     cfg.master_seed, size, run, _STREAM_CCGA))
                 t0 = time.perf_counter()
                 state, trace = evolve(data, ga_cfg)
-                ccga_seconds = time.perf_counter() - t0
-                best = state.best_so_far
-                result = RunResult("ccga", run, dataset_id, best.log_score,
-                                   ccga_seconds,
-                                   decode(combine(best.perm, best.bits)))
-                emit(result)
-                ccga_results.append(result)
+                seconds = time.perf_counter() - t0
+                sol = state.best_so_far
+                record("ccga", run, sol.log_score, seconds,
+                       decode(combine(sol.perm, sol.bits)))
                 traces.append(trace)
 
                 k2_cfg = replace(cfg.k2, seed=derive_seed(
                     cfg.master_seed, size, run, _STREAM_K2))
                 t0 = time.perf_counter()
                 k2_dag, k2_score = k2_learn(data, k2_cfg)
-                k2_seconds = time.perf_counter() - t0
-                result = RunResult("k2", run, dataset_id, k2_score, k2_seconds,
-                                   k2_dag)
-                emit(result)
-                k2_results.append(result)
+                record("k2", run, k2_score, time.perf_counter() - t0, k2_dag)
 
                 t0 = time.perf_counter()
                 orig_score = bde_log_score(data, ground.dag)
-                result = RunResult("original", run, dataset_id, orig_score,
-                                   time.perf_counter() - t0, ground.dag)
-                emit(result)
-                original_results.append(result)
+                record("original", run, orig_score, time.perf_counter() - t0,
+                       ground.dag)
 
-            # Statistics over the 6-decimal values written to runs.csv, so a
-            # reader of that file reproduces the report exactly.
-            ccga_scores = [round(r.best_score, 6) for r in ccga_results]
-            k2_scores = [round(r.best_score, 6) for r in k2_results]
-            orig_scores = [round(r.best_score, 6) for r in original_results]
-            p_value = None
-            if cfg.runs >= 2:
-                try:
-                    p_value = welch_one_tailed_t(ccga_scores, k2_scores)
-                except ValidationError:
-                    p_value = None
-            entries.append(ComparisonEntry(
-                size,
-                AlgorithmStats.from_scores(ccga_scores),
-                AlgorithmStats.from_scores(k2_scores),
-                AlgorithmStats.from_scores(orig_scores),
-                p_value,
-            ))
+            try:
+                p_value = welch_one_tailed_t(scores["ccga"], scores["k2"])
+            except ValidationError:  # fewer than two runs, or zero variance
+                p_value = None
+            stats = [AlgorithmStats.from_scores(s) for s in scores.values()]
+            entries.append(ComparisonEntry(size, *stats, p_value))
 
             trace_name = "trace_mean.csv" if single_size else f"trace_mean_{size}.csv"
             _write_mean_trace(out / trace_name, traces)
-            _save_best_structure(out / f"best_ccga_{size}.json", ground,
-                                 ccga_results)
-            _save_best_structure(out / f"best_k2_{size}.json", ground, k2_results)
+            for algorithm in ("ccga", "k2"):
+                save_structure(ground.variables, best[algorithm][1],
+                               out / f"best_{algorithm}_{size}.json")
 
     report = ComparisonReport(cfg.master_seed, cfg.runs, entries)
     (out / "report.json").write_text(
@@ -333,8 +307,3 @@ def _write_mean_trace(path, traces) -> None:
         for g in range(generations):
             f.write(f"{g},{best[:, g].mean():.6f}\n")
 
-
-def _save_best_structure(path, ground: BayesianNetwork,
-                         results: list[RunResult]) -> None:
-    best = max(results, key=lambda r: r.best_score)
-    save_structure(ground.variables, best.dag, path)

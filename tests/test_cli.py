@@ -233,6 +233,21 @@ class TestDenseStructures:
         assert "cells, above DENSE_CELLS" in proc.stderr
         assert not (tmp_path / "net.json").exists()
 
+    @pytest.mark.parametrize("command", ["learn-k2", "learn-ccga"])
+    def test_arity_above_the_dense_limit_is_usage_error(self, tmp_path, command):
+        # counting X1's values alone would ask for a 7.28 TiB table
+        data = tmp_path / "data.csv"
+        data.write_text("X1:1000000000000,X2:2\n0,1\n1,0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "coevobn.cli", command, "--data", str(data),
+             "--out", str(tmp_path / "out")],
+            env=capped_env(), preexec_fn=cap_address_space, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "'X1' has arity 1000000000000" in proc.stderr
+        assert f"DENSE_CELLS = {scoring.DENSE_CELLS}" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_sample_of_too_many_rows_is_usage_error(self, capsys, tmp_path):
         # 10**11 rows of 5 int64 values ask for 4 TB
         net = tmp_path / "net.json"

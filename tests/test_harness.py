@@ -31,7 +31,9 @@ from coevobn import (
     score_structure,
     welch_one_tailed_t,
 )
+from coevobn import harness
 from coevobn.bayesnet import Dag, Variable
+from coevobn.encoding import combine, decode
 from helpers import dataset
 
 
@@ -270,6 +272,58 @@ class TestRunComparison:
             values = [float(row["mean_best_score"]) for row in csv.DictReader(f)]
         assert len(values) == 5  # generation 0 plus 4 generations
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_interrupted_experiment_keeps_completed_rows(self, tmp_path,
+                                                          monkeypatch):
+        real_k2_learn = harness.k2_learn
+        calls = []
+
+        def k2_learn_failing_on_run_1(data, cfg):
+            calls.append(cfg)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return real_k2_learn(data, cfg)
+
+        monkeypatch.setattr(harness, "k2_learn", k2_learn_failing_on_run_1)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_comparison(tiny_config(tmp_path))
+        keys = ["ccga,0,s120-r0", "k2,0,s120-r0", "original,0,s120-r0",
+                "ccga,1,s120-r1"]
+        for name, column in (("runs.csv", "best_score"), ("timings.csv", "seconds")):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == f"algorithm,run,dataset,{column}"
+            assert [line.rsplit(",", 1)[0] for line in lines[1:]] == keys
+
+    def test_best_structures_are_the_top_scoring_runs(self, tmp_path,
+                                                      monkeypatch):
+        real_evolve = harness.evolve
+        ccga_runs = []
+
+        def spy_evolve(data, cfg):
+            state, trace = real_evolve(data, cfg)
+            best = state.best_so_far
+            ccga_runs.append((best.log_score, decode(combine(best.perm, best.bits))))
+            return state, trace
+
+        # a distinct DAG per run; run 1 and run 2 tie for the top score
+        k2_runs = [(score, Dag(4, [(), (), (), range(k)]))
+                   for k, score in enumerate([-500.0, -100.0, -100.0])]
+        calls = []
+
+        def scripted_k2_learn(data, cfg):
+            score, dag = k2_runs[len(calls)]
+            calls.append(cfg)
+            return dag, score
+
+        monkeypatch.setattr(harness, "evolve", spy_evolve)
+        monkeypatch.setattr(harness, "k2_learn", scripted_k2_learn)
+        run_comparison(tiny_config(tmp_path))
+
+        assert len(ccga_runs) == 3
+        top = max(score for score, _ in ccga_runs)
+        first_top = next(dag for score, dag in ccga_runs if score == top)
+        assert load_structure(tmp_path / "best_ccga_120.json")[1] == first_top
+        assert load_structure(tmp_path / "best_k2_120.json")[1] == k2_runs[1][1]
 
     def test_best_structure_files_load(self, tmp_path):
         run_comparison(tiny_config(tmp_path))
