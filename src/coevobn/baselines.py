@@ -3,6 +3,7 @@ enumeration for small node counts, and the exact labeled-DAG counter."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb
@@ -11,10 +12,11 @@ from typing import Iterator
 
 import numpy as np
 
+from . import scoring
 from .bayesnet import Dag, Dataset
 from .encoding import decode_parents, triangular_size
 from .errors import EmptyDataError, ValidationError, check_number
-from .scoring import LocalScoreCache, local_log_score, score_parent_sets
+from .scoring import LocalScoreCache, local_log_score, score_parent_sets, table_log_score
 
 ENUMERATION_LIMIT = 5
 COUNT_LIMIT = 500           # count_dags(500) has 38,602 digits
@@ -51,6 +53,10 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
     raises the node's local score the most is added, until no addition
     strictly improves it or max_parents is reached. Ties between candidate
     parents go to the one earliest in the ordering.
+
+    A candidate's family is counted by extending the chosen parents' cell
+    index (extension_counts); a family above scoring.DENSE_CELLS cells is
+    scored by local_log_score, as is every node's parentless start.
     """
     cfg.validate()
     if data.n_rows == 0:
@@ -64,26 +70,38 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
         raise ValidationError(
             f"ordering has {len(cfg.ordering)} entries but dataset has {n} columns"
         )
+    arities = data.arities
     parent_sets: list[tuple[int, ...]] = [()] * n
     local_scores = [0.0] * n
     for pos, node in enumerate(order):
-        chosen: list[int] = []
+        chosen: list[int] = []   # kept sorted
+        cells = arities[node]    # q * r of node given chosen
         current = local_log_score(data, node, ())
         while len(chosen) < cfg.max_parents:
+            candidates = [c for c in order[:pos] if c not in chosen]
+            scores = {}
+            dense = []
+            for cand in candidates:
+                if cells * arities[cand] > scoring.DENSE_CELLS:
+                    scores[cand] = local_log_score(
+                        data, node, tuple(sorted(chosen + [cand])))
+                else:
+                    dense.append(cand)
+            for cand, counts in extension_counts(data, node, chosen, dense):
+                scores[cand] = table_log_score(counts, data.n_rows)
+                del counts   # not kept alive while the next table is counted
             best_score = current
             best_cand = None
-            for cand in order[:pos]:
-                if cand in chosen:
-                    continue
-                s = local_log_score(data, node, tuple(sorted(chosen + [cand])))
-                if s > best_score:  # strict: first best wins ties
-                    best_score = s
+            for cand in candidates:
+                if scores[cand] > best_score:  # strict: first best wins ties
+                    best_score = scores[cand]
                     best_cand = cand
             if best_cand is None:
                 break
-            chosen.append(best_cand)
+            insort(chosen, best_cand)
+            cells *= arities[best_cand]
             current = best_score
-        parent_sets[node] = tuple(sorted(chosen))
+        parent_sets[node] = tuple(chosen)
         local_scores[node] = current
     # added one by one in node order, as bde_log_score does, so the total
     # is bit-identical to rescoring the DAG
@@ -91,6 +109,43 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
     for value in local_scores:
         total += value
     return Dag(n, parent_sets), total
+
+
+def extension_counts(data: Dataset, node: int, chosen: list[int],
+                     candidates: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (c, count_stats' table of node given chosen + [c]) for every
+    candidate c, without recounting the chosen parents.
+
+    `chosen` is sorted, and every family must fit in scoring.DENSE_CELLS
+    cells. count_stats' index of node given the chosen parents is
+    full = x_node + sum over i of S_i x_(p_i), where S_i is r times the
+    arities of the chosen parents below p_i. The index a_c full + x_c counts
+    the (full, x_c) pairs with x_c as the fastest axis; moving that axis up
+    to c's place after the first k chosen parents (stride S_k) gives
+    count_stats' table cell for cell, so every score computed from it is
+    bit-identical. Candidates are taken grouped by arity, and one array
+    holds full and then each a_c full in turn, so a step keeps a fixed
+    number of row-length arrays whatever the number of chosen parents.
+    """
+    if not candidates:
+        return
+    rows, arities = data.rows, data.arities
+    base = rows[:, node].copy()   # full, then a_c full for the current arity
+    strides = [arities[node]]     # strides[k] = S_k; strides[-1] = all cells
+    for p in chosen:
+        base += rows[:, p] * strides[-1]
+        strides.append(strides[-1] * arities[p])
+    arity = 1
+    for a, cand in sorted((arities[c], c) for c in candidates):
+        if a != arity:
+            if arity > 1:
+                base //= arity    # exactly full again
+            base *= a
+            arity = a
+        # one chained expression, so that no table outlives the yield here
+        yield cand, (np.bincount(base + rows[:, cand], minlength=strides[-1] * a)
+                     .reshape(-1, strides[bisect_left(chosen, cand)], a)
+                     .swapaxes(1, 2).reshape(-1, strides[0]))
 
 
 _DAG_COUNTS: list[int] = [1]   # _DAG_COUNTS[m] = count_dags(m), m = 0, 1, ...

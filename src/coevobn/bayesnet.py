@@ -23,6 +23,7 @@ ROW_SUM_TOL = 1e-9   # every CPT row must sum to 1 within this
 # Largest dense table of q * r cells: the largest CPT random_network draws,
 # and the largest count table scoring.count_stats tallies densely.
 DENSE_CELLS = 1 << 22
+SAMPLE_BLOCK = 1 << 16   # rows ancestral_sample draws per node at a time
 
 
 @dataclass(frozen=True)
@@ -216,14 +217,25 @@ class BayesianNetwork:
 
 class Dataset:
     """Fully observable integer-coded samples over a fixed variable schema.
-    `rows` is read-only int64, column-major so that every column is contiguous."""
+    `rows` is read-only int64, column-major so that every column is
+    contiguous; `arities` is the tuple of the variables' arities."""
 
-    __slots__ = ("variables", "rows")
+    __slots__ = ("variables", "rows", "arities")
 
     def __init__(self, variables: Sequence[Variable], rows):
+        self._init(variables, np.array(rows, dtype=np.int64, order="F"))
+
+    @classmethod
+    def _adopt(cls, variables: Sequence[Variable], arr: np.ndarray) -> Dataset:
+        """A dataset that takes over `arr`, a column-major int64 table no
+        one else writes to, without copying it; the checks still run."""
+        data = cls.__new__(cls)
+        data._init(variables, arr)
+        return data
+
+    def _init(self, variables: Sequence[Variable], arr: np.ndarray) -> None:
         variables = list(variables)
         check_variables(variables)
-        arr = np.array(rows, dtype=np.int64, order="F")
         if arr.size == 0:
             arr = arr.reshape(0, len(variables))
         if arr.ndim != 2 or arr.shape[1] != len(variables):
@@ -241,6 +253,7 @@ class Dataset:
         arr.setflags(write=False)
         self.variables = variables
         self.rows = arr
+        self.arities = tuple(v.arity for v in variables)
 
     @property
     def n_rows(self) -> int:
@@ -249,10 +262,6 @@ class Dataset:
     @property
     def n_cols(self) -> int:
         return self.rows.shape[1]
-
-    @property
-    def arities(self) -> list[int]:
-        return [v.arity for v in self.variables]
 
 
 def joint_probability(net: BayesianNetwork, assignment: Sequence[int]) -> float:
@@ -279,7 +288,10 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
     """Draw `count` complete rows by sampling each node after its parents.
 
     Nodes are visited in the deterministic topological order of the DAG, so
-    the result is reproducible given the seed.
+    the result is reproducible given the seed. Each node's column is drawn
+    SAMPLE_BLOCK rows at a time into one column-major table that the
+    dataset takes over, so the peak stays near the table's own size; the
+    blocks draw the same uniform stream as one call would.
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
@@ -287,14 +299,16 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     arities = net.arities
     try:
-        values = np.zeros((count, net.n), dtype=np.int64)
+        values = np.zeros((count, net.n), dtype=np.int64, order="F")
         for i in net.dag.topological_order():
             cdf = np.cumsum(net.cpts[i], axis=1)
             cdf[:, -1] = 1.0  # guard against ROW_SUM_TOL normalization slack
-            rows = parent_config_indices(values, net.dag.parents[i], arities)
-            u = rng.random(count)
-            values[:, i] = (u[:, None] >= cdf[rows]).sum(axis=1)
-        return Dataset(net.variables, values)
+            for start in range(0, count, SAMPLE_BLOCK):
+                block = values[start:start + SAMPLE_BLOCK]
+                rows = parent_config_indices(block, net.dag.parents[i], arities)
+                u = rng.random(block.shape[0])
+                block[:, i] = (u[:, None] >= cdf[rows]).sum(axis=1)
+        return Dataset._adopt(net.variables, values)
     except MemoryError:
         raise ValidationError(
             f"out of memory sampling {count} rows of {net.n} values: their "

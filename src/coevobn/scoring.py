@@ -43,14 +43,15 @@ class LocalScoreCache(dict):
 
     `cache[node, parents]` computes a missing term with local_log_score and
     counts it in `misses`: each miss is one count_stats call and one new
-    entry. score_parent_sets counts every term it reads in `lookups`, and
-    `hits` is the rest.
+    entry. score_parent_sets counts every term it reads that was already
+    stored in `hits`; `lookups` is their sum. A dict read that finds its
+    key runs no Python code, so the hit path stays C-only.
     """
 
     def __init__(self, data: Dataset):
         super().__init__()
         self.data = data
-        self.lookups = 0
+        self.hits = 0
         self.misses = 0
 
     def __missing__(self, key: tuple[int, tuple[int, ...]]) -> float:
@@ -60,8 +61,8 @@ class LocalScoreCache(dict):
         return value
 
     @property
-    def hits(self) -> int:
-        return self.lookups - self.misses
+    def lookups(self) -> int:
+        return self.hits + self.misses
 
 
 def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarray:
@@ -110,25 +111,31 @@ def _log_factorials(size: int) -> np.ndarray:
     return _LOG_FACTORIALS
 
 
+def table_log_score(counts: np.ndarray, n_rows: int) -> float:
+    """BDe local score of one (parent configuration, child value) table of
+    counts over n_rows rows, in Cooper & Herskovits' form: the sum over
+    parent configurations j of log((r-1)!) - log((N_j + r - 1)!) + sum
+    over values k of log(N_jk!)."""
+    r = counts.shape[1]
+    lf = _log_factorials(n_rows + r)
+    return float((lf[r - 1] - lf.take(counts.sum(axis=1) + (r - 1))).sum()
+                 + lf.take(counts).sum())
+
+
 def local_log_score(data: Dataset, node: int, parent_set: Sequence[int]) -> float:
-    """Log marginal likelihood contribution of one node given its parents,
-    in Cooper & Herskovits' form: the sum over parent configurations j of
-    log((r-1)!) - log((N_j + r - 1)!) + sum over values k of log(N_jk!)."""
-    counts = count_stats(data, node, parent_set)
-    r = data.arities[node]
-    lf = _log_factorials(data.n_rows + r)
-    return float(np.sum(lf[r - 1] - lf[counts.sum(axis=1) + (r - 1)])
-                 + np.sum(lf[counts]))
+    """Log marginal likelihood contribution of one node given its parents."""
+    return table_log_score(count_stats(data, node, parent_set), data.n_rows)
 
 
 def score_parent_sets(parent_sets: Sequence[tuple[int, ...]],
                       cache: LocalScoreCache) -> float:
     """Sum of the cached local scores of one sorted parent tuple per node,
     as decode_parents and Dag.parents give them (hot path)."""
-    cache.lookups += len(parent_sets)
+    misses = cache.misses
     total = 0.0
     for key in enumerate(parent_sets):  # += in node order; sum() would compensate
         total += cache[key]
+    cache.hits += len(parent_sets) - (cache.misses - misses)
     return total
 
 

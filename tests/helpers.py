@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from coevobn import BayesianNetwork, Dag, Dataset, Variable
+from coevobn import BayesianNetwork, Dag, Dataset, Variable, local_log_score
 
 
 def binary_vars(n):
@@ -90,3 +90,35 @@ def reference_local_score(data, node, parents):
     return sum(math.lgamma(r) - math.lgamma(r + sum(cell))
                + sum(math.lgamma(1 + c) for c in cell)
                for cell in tally.values())
+
+
+def reference_k2(data, order, max_parents):
+    """K2 as a per-candidate loop: every candidate family is recounted by
+    local_log_score. The oracle for k2_learn's index extension; returns the
+    same (Dag, total score)."""
+    n = data.n_cols
+    parent_sets = [()] * n
+    local_scores = [0.0] * n
+    for pos, node in enumerate(order):
+        chosen = []
+        current = local_log_score(data, node, ())
+        while len(chosen) < max_parents:
+            best_score = current
+            best_cand = None
+            for cand in order[:pos]:
+                if cand in chosen:
+                    continue
+                s = local_log_score(data, node, tuple(sorted(chosen + [cand])))
+                if s > best_score:
+                    best_score = s
+                    best_cand = cand
+            if best_cand is None:
+                break
+            chosen.append(best_cand)
+            current = best_score
+        parent_sets[node] = tuple(sorted(chosen))
+        local_scores[node] = current
+    total = 0.0
+    for value in local_scores:
+        total += value
+    return Dag(n, parent_sets), total

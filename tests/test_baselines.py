@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from coevobn.baselines import COUNT_LIMIT
+from coevobn import baselines, scoring
+from coevobn.baselines import COUNT_LIMIT, extension_counts
 from coevobn import (
     Dag,
     EmptyDataError,
@@ -12,6 +13,7 @@ from coevobn import (
     ancestral_sample,
     bde_log_score,
     count_dags,
+    count_stats,
     enumerate_dags,
     exhaustive_best,
     k2_learn,
@@ -20,7 +22,7 @@ from coevobn import (
     random_network,
     score_all_dags,
 )
-from helpers import dataset, random_instance
+from helpers import dataset, random_instance, reference_k2
 
 KNOWN_COUNTS = {1: 1, 2: 3, 3: 25, 4: 543, 5: 29281, 6: 3781503}
 
@@ -171,6 +173,87 @@ class TestK2:
         empty = dataset([2, 2], np.zeros((0, 2), dtype=int))
         with pytest.raises(EmptyDataError):
             k2_learn(empty, K2Config())
+
+
+def random_dataset(rng, max_nodes=12, max_rows=300):
+    """Random rows over 2..max_nodes columns of arity 2-5. Each cell of
+    column j copies a random earlier column with probability 0.6, so that
+    K2 finds parents; one column in four is an exact copy, so that
+    candidates tie and K2's tie-break is exercised."""
+    n = int(rng.integers(2, max_nodes + 1))
+    arities = [int(a) for a in rng.integers(2, 6, size=n)]
+    m = int(rng.integers(20, max_rows + 1))
+    rows = np.stack([rng.integers(0, a, size=m) for a in arities], axis=1)
+    for j in range(1, n):
+        src = int(rng.integers(0, j))
+        if rng.random() < 0.25:
+            arities[j] = arities[src]
+            rows[:, j] = rows[:, src]
+        else:
+            copy = rng.random(m) < 0.6
+            rows[copy, j] = rows[copy, src] % arities[j]
+    return dataset(arities, rows)
+
+
+class TestK2IndexExtension:
+    """k2_learn counts each candidate family by extending the chosen
+    parents' cell index; the per-candidate loop of tests/helpers.py is its
+    oracle, and every DAG and score must match it bit for bit."""
+
+    @pytest.mark.parametrize("dense_cells", [scoring.DENSE_CELLS, 40],
+                             ids=["dense", "sparse-fallback"])
+    def test_matches_the_per_candidate_oracle(self, monkeypatch, dense_cells):
+        patched = dense_cells < scoring.DENSE_CELLS
+        monkeypatch.setattr(scoring, "DENSE_CELLS", dense_cells)
+        real = baselines.extension_counts
+        inserted = set()        # where candidates went relative to the chosen set
+        sparse = []
+
+        def spy(data, node, chosen, candidates):
+            for c in candidates:
+                k = sum(p < c for p in chosen)
+                inserted.add("below" if k == 0 and chosen else
+                             "above" if k == len(chosen) else "between")
+            return real(data, node, chosen, candidates)
+
+        real_local = baselines.local_log_score
+
+        def spy_local(data, node, parents):
+            sparse.append(len(parents))
+            return real_local(data, node, parents)
+
+        monkeypatch.setattr(baselines, "extension_counts", spy)
+        monkeypatch.setattr(baselines, "local_log_score", spy_local)
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            data = random_dataset(rng)
+            order = [int(v) for v in rng.permutation(data.n_cols)]
+            for cap in range(4):
+                dag, score = k2_learn(data, K2Config(ordering=order, max_parents=cap))
+                ref_dag, ref_score = reference_k2(data, order, cap)
+                assert dag == ref_dag
+                assert score == ref_score
+        assert inserted == {"below", "between", "above"}
+        # parentless starts only, unless a family crossed DENSE_CELLS
+        assert (max(sparse) > 0) == patched
+
+    def test_counts_equal_count_stats_at_every_insertion_point(self):
+        rng = np.random.default_rng(4)
+        positions = set()
+        for _ in range(20):
+            data = random_dataset(rng, max_nodes=9)
+            node, *rest = (int(v) for v in rng.permutation(data.n_cols))
+            for m in range(min(3, len(rest)) + 1):
+                chosen = sorted(rest[:m])
+                candidates = rest[m:]
+                seen = dict(extension_counts(data, node, chosen, candidates))
+                assert sorted(seen) == sorted(candidates)
+                for cand, counts in seen.items():
+                    positions.add((sum(p < cand for p in chosen), m))
+                    expected = count_stats(data, node, chosen + [cand])
+                    assert counts.dtype == expected.dtype
+                    assert np.array_equal(counts, expected)
+        assert positions >= {(k, 3) for k in range(4)}
 
 
 class TestExhaustiveBest:

@@ -169,6 +169,14 @@ class TestLocalLogScore:
         assert (cache.lookups, cache.misses, cache.hits) == (4, 2, 2)
         assert first == second  # bit-identical
 
+    def test_direct_read_counts_a_miss_and_no_negative_hits(self):
+        data = dataset([2, 2], [[0, 1], [1, 0], [1, 1]])
+        cache = LocalScoreCache(data)
+        cache[0, ()]
+        assert (cache.misses, cache.lookups, cache.hits) == (1, 1, 0)
+        score_parent_sets(((), (0,)), cache)
+        assert (cache.misses, cache.lookups, cache.hits) == (2, 3, 1)
+
     def test_cached_value_matches_fresh_recomputation(self):
         rng = np.random.default_rng(5)
         data, dag = random_instance(rng)
