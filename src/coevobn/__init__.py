@@ -22,7 +22,6 @@ from .bayesnet import (
     Dataset,
     Variable,
     ancestral_sample,
-    joint_probability,
     load_dataset,
     load_network,
     load_structure,
@@ -32,14 +31,9 @@ from .bayesnet import (
     save_structure,
 )
 from .encoding import (
-    BinaryGenome,
-    CompleteSolution,
-    PermutationGenome,
     combine,
     decode,
-    dump_solution,
     encode_dag,
-    split_interleaved,
     triangular_index,
     triangular_size,
 )

@@ -264,26 +264,6 @@ class Dataset:
         return self.rows.shape[1]
 
 
-def joint_probability(net: BayesianNetwork, assignment: Sequence[int]) -> float:
-    """Probability of one full assignment: product of per-node CPT entries."""
-    if len(assignment) != net.n:
-        raise SchemaError(
-            f"assignment has {len(assignment)} values; network has {net.n} variables"
-        )
-    arities = net.arities
-    for i, v in enumerate(assignment):
-        if not 0 <= int(v) < arities[i]:
-            raise SchemaError(
-                f"value {v} for variable {net.variables[i].name!r} is outside "
-                f"0..{arities[i] - 1}"
-            )
-    prob = 1.0
-    for i in range(net.n):
-        j = parent_config_index(assignment, net.dag.parents[i], arities)
-        prob *= float(net.cpts[i][j, int(assignment[i])])
-    return prob
-
-
 def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
     """Draw `count` complete rows by sampling each node after its parents.
 

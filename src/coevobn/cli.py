@@ -30,7 +30,7 @@ from .bayesnet import (
     save_network,
     save_structure,
 )
-from .encoding import combine, decode
+from .encoding import decode
 from .errors import (
     CoevoBnError,
     EmptyDataError,
@@ -178,7 +178,7 @@ def _cmd_learn_ccga(args) -> int:
         cfg.seed = args.seed
     state, trace = evolve(data, cfg)
     best = state.best_so_far
-    return _save_learned(args, "ccga", data, decode(combine(best.perm, best.bits)),
+    return _save_learned(args, "ccga", data, decode((best.perm, best.bits)),
                          best.log_score, trace)
 
 

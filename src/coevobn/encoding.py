@@ -1,5 +1,10 @@
 """Two-species DAG encoding: a node ordering plus upper-triangular edge bits.
 
+An ordering is a tuple of the n node indices; an edge vector is a read-only
+bool array of n(n-1)/2 bits. The paper joins the two into one interleaved
+chromosome (node at position 1, its n-1 out-bits, node at position 2, its
+n-2 out-bits, ..., node n); the engine keeps them as two species.
+
 A bit at triangular position (i, j), 1-based with i < j, says that the node
 at ordering position i is a parent of the node at position j. Because edges
 only ever point from earlier to later positions, every decoded graph is
@@ -8,7 +13,6 @@ acyclic by construction; no repair or cycle detection is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from typing import Sequence
@@ -16,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .bayesnet import Dag
-from .errors import EncodingError, ValidationError
+from .errors import EncodingError
 
 
 def triangular_size(n: int) -> int:
@@ -33,136 +37,9 @@ def triangular_index(i: int, j: int, n: int) -> int:
     return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
 
 
-class PermutationGenome:
-    """An ordering of the n node indices; ancestors precede descendants."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order: Sequence[int]):
-        order = tuple(int(v) for v in order)
-        if sorted(order) != list(range(len(order))):
-            raise ValidationError(
-                f"not a permutation of 0..{len(order) - 1}: {order}"
-            )
-        self.order = order
-
-    @classmethod
-    def _unchecked(cls, order: tuple[int, ...]) -> "PermutationGenome":
-        """Skip validation; caller guarantees a tuple permutation of range(n)."""
-        genome = object.__new__(cls)
-        genome.order = order
-        return genome
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PermutationGenome) and self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash(self.order)
-
-    def __repr__(self) -> str:
-        return f"PermutationGenome({list(self.order)})"
-
-
-class BinaryGenome:
-    """n(n-1)/2 edge bits laid out row-major over the strict upper triangle.
-
-    The bits are a read-only bool array; equality and hashing use n and
-    the bits.
-    """
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits):
-        arr = np.array(bits, dtype=bool)
-        if arr.ndim != 1 or arr.size != triangular_size(n):
-            raise EncodingError(
-                f"expected {triangular_size(n)} bits for n={n}, got {arr.size}"
-            )
-        arr.setflags(write=False)
-        self.n = n
-        self.bits = arr
-
-    @classmethod
-    def _unchecked(cls, n: int, bits: np.ndarray) -> "BinaryGenome":
-        """Skip validation; caller guarantees a fresh 1-d bool array of
-        n(n-1)/2 bits, which becomes read-only."""
-        bits.setflags(write=False)
-        genome = object.__new__(cls)
-        genome.n = n
-        genome.bits = bits
-        return genome
-
-    def __len__(self) -> int:
-        return self.bits.size
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BinaryGenome) and self.n == other.n \
-            and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits.tobytes()))
-
-    def to01(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
-
-    def __repr__(self) -> str:
-        return f"BinaryGenome(n={self.n}, bits={self.to01()!r})"
-
-
-@dataclass(frozen=True)
-class CompleteSolution:
-    """A (perm, bits) pair plus the interleaved chromosome built from them."""
-
-    perm: PermutationGenome
-    bits: BinaryGenome
-    interleaved: tuple[int, ...]
-
-
-def combine(perm: PermutationGenome, bits: BinaryGenome) -> CompleteSolution:
-    """Interleave the ordering with its out-edge bits into one chromosome:
-    node at position 1, its n-1 bits, node at position 2, its n-2 bits,
-    ..., node n. Total length n + n(n-1)/2."""
-    n = len(perm)
-    if bits.n != n:
-        raise EncodingError(
-            f"ordering has {n} positions but bit vector is sized for n={bits.n}"
-        )
-    chrom: list[int] = []
-    idx = 0
-    for i in range(n - 1):
-        chrom.append(perm.order[i])
-        take = n - 1 - i
-        chrom.extend(int(b) for b in bits.bits[idx:idx + take])
-        idx += take
-    chrom.append(perm.order[n - 1])
-    return CompleteSolution(perm, bits, tuple(chrom))
-
-
-def split_interleaved(interleaved: Sequence[int], n: int) -> tuple[PermutationGenome, BinaryGenome]:
-    """Project an interleaved chromosome back into its two genomes."""
-    expected = n + triangular_size(n)
-    if len(interleaved) != expected:
-        raise EncodingError(
-            f"interleaved chromosome has length {len(interleaved)}; expected {expected}"
-        )
-    order: list[int] = []
-    bits: list[int] = []
-    pos = 0
-    for i in range(n - 1):
-        order.append(int(interleaved[pos]))
-        pos += 1
-        take = n - 1 - i
-        bits.extend(int(b) for b in interleaved[pos:pos + take])
-        pos += take
-    order.append(int(interleaved[pos]))
-    return PermutationGenome(order), BinaryGenome(n, bits)
+def combine(perm: Sequence[int], bits) -> tuple:
+    """The (ordering, bits) pair that decode takes, unchecked."""
+    return perm, bits
 
 
 @cache
@@ -193,30 +70,37 @@ def decode_parents(order: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, .
     return tuple(map(tuple, parents))
 
 
-def decode(sol: CompleteSolution) -> Dag:
-    """Decode a complete solution into its DAG (acyclic by construction)."""
-    return Dag._unchecked(len(sol.perm), decode_parents(sol.perm.order, sol.bits.bits))
+def decode(solution) -> Dag:
+    """Decode an (ordering, bits) pair into its DAG (acyclic by construction).
+
+    This is where a pair leaving the engine is checked: an ordering that is
+    not a permutation of 0..n-1, or a bit count other than n(n-1)/2, raises
+    EncodingError.
+    """
+    order, bits = solution
+    order = tuple(int(v) for v in order)
+    if sorted(order) != list(range(len(order))):
+        raise EncodingError(f"not a permutation of 0..{len(order) - 1}: {order}")
+    bits = np.asarray(bits, dtype=bool)
+    if bits.ndim != 1:
+        raise EncodingError(f"edge bits must be one-dimensional, got shape {bits.shape}")
+    return Dag._unchecked(len(order), decode_parents(order, bits))
 
 
-def encode_dag(dag: Dag) -> CompleteSolution:
-    """Encode a DAG by topologically sorting it and setting the edge bits.
+def encode_dag(dag: Dag) -> tuple[tuple[int, ...], np.ndarray]:
+    """Encode a DAG as an (ordering, bits) pair: a topological order and
+    the edge bits it implies, as a read-only bool array.
 
     decode(encode_dag(g)) reproduces g exactly; this is the constructive
     witness that the representation covers every DAG.
     """
     n = dag.n
-    order = dag.topological_order()
+    order = tuple(dag.topological_order())
     position = {node: p for p, node in enumerate(order)}  # 0-based positions
     bits = np.zeros(triangular_size(n), dtype=bool)
     for child in range(n):
         for parent in dag.parents[child]:
             s, t = position[parent], position[child]
             bits[triangular_index(s + 1, t + 1, n)] = True
-    return combine(PermutationGenome(order), BinaryGenome(n, bits))
-
-
-def dump_solution(sol: CompleteSolution, names: Sequence[str] | None = None) -> str:
-    """Stable two-line debug form: ordered node names, then the bits."""
-    if names is None:
-        names = [f"X{i + 1}" for i in range(len(sol.perm))]
-    return " ".join(names[v] for v in sol.perm.order) + "\n" + sol.bits.to01()
+    bits.setflags(write=False)
+    return order, bits

@@ -26,7 +26,7 @@ class EmptyDataError(CoevoBnError):
 
 
 class EncodingError(CoevoBnError):
-    """Genome components have inconsistent lengths."""
+    """An (ordering, bits) pair is not a permutation plus n(n-1)/2 bits."""
 
 
 class EngineError(CoevoBnError):

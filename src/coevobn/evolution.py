@@ -1,11 +1,11 @@
 """Cooperative coevolution of node orderings and edge bitstrings.
 
-Two subpopulations evolve side by side: permutations of the nodes and
-binary connectivity vectors. A member's fitness is the score of the best
-complete solution it forms with collaborators from the other subpopulation
-(the recorded best plus one uniformly random member; the higher assembled
-score is credited). At generation 0 no best exists yet, so only a random
-collaborator is used.
+Two subpopulations evolve side by side: permutations of the nodes (tuples
+of ints) and binary connectivity vectors (read-only bool arrays). A
+member's fitness is the score of the best complete solution it forms with
+collaborators from the other subpopulation (the recorded best plus one
+uniformly random member; the higher assembled score is credited). At
+generation 0 no best exists yet, so only a random collaborator is used.
 
 Each generation runs selection, crossover, mutation, evaluation, and
 elitist replacement for the permutation species and then for the binary
@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayesnet import Dataset
-from .encoding import (
-    BinaryGenome,
-    PermutationGenome,
-    decode_parents,
-    triangular_index,
-    triangular_size,
-)
+from .encoding import decode_parents, triangular_index, triangular_size
 from .errors import EmptyDataError, EngineError, ValidationError, check_number
 from .scoring import LocalScoreCache, score_parent_sets
 
@@ -125,20 +119,18 @@ class ConvergenceTrace:
         return iter(self.records)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BestSolution:
-    perm: PermutationGenome
-    bits: BinaryGenome
+    perm: tuple[int, ...]
+    bits: np.ndarray
     log_score: float
 
 
 @dataclass
 class EvolutionState:
-    generation: int
-    perm_pop: Subpopulation
-    bin_pop: Subpopulation
+    """What a run returns besides its trace: the best pair it scored."""
+
     best_so_far: BestSolution
-    trace: ConvergenceTrace
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +139,7 @@ class EvolutionState:
 
 def init_permutation_pop(n: int, size: int, rng: np.random.Generator) -> Subpopulation:
     """Uniformly random orderings, no further constraints."""
-    members = [PermutationGenome(rng.permutation(n)) for _ in range(size)]
+    members = [tuple(rng.permutation(n).tolist()) for _ in range(size)]
     return Subpopulation(PERMUTATION, members)
 
 
@@ -162,7 +154,8 @@ def init_binary_pop(n: int, size: int, rng: np.random.Generator) -> Subpopulatio
         for j in range(2, n + 1):
             i = int(rng.integers(1, j))
             bits[triangular_index(i, j, n)] = True
-        members.append(BinaryGenome(n, bits))
+        bits.setflags(write=False)
+        members.append(bits)
     return Subpopulation(BINARY, members)
 
 
@@ -196,28 +189,30 @@ def tournament_select(pop: Subpopulation, rng: np.random.Generator) -> list:
     return pool
 
 
-def two_point_crossover(a: BinaryGenome, b: BinaryGenome,
-                        rng: np.random.Generator
-                        ) -> tuple[BinaryGenome, BinaryGenome]:
+def two_point_crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Exchange the middle of the three segments delimited by two distinct
     cut points (drawn uniformly without replacement from the boundaries
-    1..L). Genomes of length < 2 are returned unchanged."""
-    if a.n != b.n:
-        raise EngineError(f"cannot cross genomes for n={a.n} and n={b.n}")
-    L = len(a)
+    1..L). Vectors of length < 2 are returned unchanged; children are
+    fresh read-only arrays."""
+    L = a.size
+    if b.size != L:
+        raise EngineError(f"cannot cross bit vectors of lengths {L} and {b.size}")
     if L < 2:
         return a, b
     c1, c2 = sorted(int(c) for c in rng.choice(np.arange(1, L + 1), size=2,
                                                replace=False))
-    child1 = a.bits.copy()
-    child1[c1:c2] = b.bits[c1:c2]
-    child2 = b.bits.copy()
-    child2[c1:c2] = a.bits[c1:c2]
-    return BinaryGenome._unchecked(a.n, child1), BinaryGenome._unchecked(a.n, child2)
+    child1 = a.copy()
+    child1[c1:c2] = b[c1:c2]
+    child2 = b.copy()
+    child2[c1:c2] = a[c1:c2]
+    child1.setflags(write=False)
+    child2.setflags(write=False)
+    return child1, child2
 
 
-def cycle_crossover(a: PermutationGenome, b: PermutationGenome
-                    ) -> tuple[PermutationGenome, PermutationGenome]:
+def cycle_crossover(a: tuple[int, ...], b: tuple[int, ...]
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Exchange whole position-cycles between the parents.
 
     Cycles are discovered from the first unused position onward; the first
@@ -226,10 +221,10 @@ def cycle_crossover(a: PermutationGenome, b: PermutationGenome
     value present at that position in one of the parents. Deterministic:
     it draws no random numbers.
     """
-    if len(a) != len(b):  # genomes are permutations of range(n) by construction
+    if len(a) != len(b):  # orderings are permutations of range(n) by construction
         raise EngineError("cycle crossover requires permutations of the same length")
     n = len(a)
-    pos_in_a = {v: p for p, v in enumerate(a.order)}
+    pos_in_a = {v: p for p, v in enumerate(a)}
     used = [False] * n
     child1 = [0] * n
     child2 = [0] * n
@@ -242,32 +237,34 @@ def cycle_crossover(a: PermutationGenome, b: PermutationGenome
         while True:
             cycle.append(p)
             used[p] = True
-            p = pos_in_a[b.order[p]]
+            p = pos_in_a[b[p]]
             if p == start:
                 break
         for p in cycle:
-            child1[p] = a.order[p] if take_from_a else b.order[p]
-            child2[p] = b.order[p] if take_from_a else a.order[p]
+            child1[p] = a[p] if take_from_a else b[p]
+            child2[p] = b[p] if take_from_a else a[p]
         take_from_a = not take_from_a
-    return (PermutationGenome._unchecked(tuple(child1)),
-            PermutationGenome._unchecked(tuple(child2)))
+    return tuple(child1), tuple(child2)
 
 
-def bit_flip_mutation(g: BinaryGenome, p_mb: float,
-                      rng: np.random.Generator) -> BinaryGenome:
-    """Flip each bit independently with probability p_mb."""
+def bit_flip_mutation(g: np.ndarray, p_mb: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Flip each bit independently with probability p_mb; a flipped child
+    is a fresh read-only array, an unflipped one is `g` itself."""
     if not 0.0 <= p_mb <= 1.0:
         raise ValidationError(f"p_mb must lie in [0, 1], got {p_mb}")
-    if len(g) == 0:
+    if g.size == 0:
         return g
-    flips = rng.random(len(g)) < p_mb
+    flips = rng.random(g.size) < p_mb
     if not flips.any():
         return g
-    return BinaryGenome._unchecked(g.n, np.logical_xor(g.bits, flips))
+    child = np.logical_xor(g, flips)
+    child.setflags(write=False)
+    return child
 
 
-def swap_mutation(g: PermutationGenome, p_mp: float,
-                  rng: np.random.Generator) -> PermutationGenome:
+def swap_mutation(g: tuple[int, ...], p_mp: float,
+                  rng: np.random.Generator) -> tuple[int, ...]:
     """With probability p_mp, swap the values at two distinct positions."""
     if not 0.0 <= p_mp <= 1.0:
         raise ValidationError(f"p_mp must lie in [0, 1], got {p_mp}")
@@ -276,9 +273,9 @@ def swap_mutation(g: PermutationGenome, p_mp: float,
     if rng.random() >= p_mp:
         return g
     i, j = (int(x) for x in rng.choice(len(g), size=2, replace=False))
-    order = list(g.order)
+    order = list(g)
     order[i], order[j] = order[j], order[i]
-    return PermutationGenome._unchecked(tuple(order))
+    return tuple(order)
 
 
 def elitist_replace(prev: Subpopulation, offspring_members: list,
@@ -307,27 +304,20 @@ class _BestTracker:
     number of solutions scored since the last trace record."""
 
     def __init__(self):
-        self._best: tuple[float, PermutationGenome, BinaryGenome] | None = None
+        self.best: BestSolution | None = None
         self._evaluations = 0
 
-    def update(self, perm: PermutationGenome, bits: BinaryGenome, score: float) -> None:
+    def update(self, perm: tuple[int, ...], bits: np.ndarray, score: float) -> None:
         self._evaluations += 1
-        if self._best is None or score > self._best[0]:
-            self._best = (score, perm, bits)
-
-    @property
-    def score(self) -> float:
-        return self._best[0]
+        if self.best is None or score > self.best.log_score:
+            self.best = BestSolution(perm, bits, score)
 
     def record(self, generation: int, mean_score: float) -> TraceRecord:
         """Close a generation: its trace record, then restart the count."""
-        record = TraceRecord(generation, self.score, mean_score, self._evaluations)
+        record = TraceRecord(generation, self.best.log_score, mean_score,
+                             self._evaluations)
         self._evaluations = 0
         return record
-
-    def solution(self) -> BestSolution:
-        score, perm, bits = self._best
-        return BestSolution(perm, bits, score)
 
 
 def evaluate(members: list, own_species: str, other_pop: Subpopulation,
@@ -346,7 +336,7 @@ def evaluate(members: list, own_species: str, other_pop: Subpopulation,
 
     def assemble(member, partner) -> float:
         perm, bits = (member, partner) if own_is_perm else (partner, member)
-        score = score_parent_sets(decode_parents(perm.order, bits.bits), cache)
+        score = score_parent_sets(decode_parents(perm, bits), cache)
         if tracker is not None:
             tracker.update(perm, bits, score)
         return score
@@ -375,7 +365,7 @@ def _species_generation(pop, other_pop, cache, rng, cfg, p_mb,
             else:
                 c1, c2 = two_point_crossover(p1, p2, rng)
         else:
-            c1, c2 = p1, p2  # exact copies (genomes are immutable)
+            c1, c2 = p1, p2  # shared, not copied: members are never written
         if pop.species == PERMUTATION:
             c1 = swap_mutation(c1, cfg.p_mp, rng)
             c2 = swap_mutation(c2, cfg.p_mp, rng)
@@ -389,7 +379,7 @@ def _species_generation(pop, other_pop, cache, rng, cfg, p_mb,
 
 def evolve(data: Dataset, cfg: GaConfig
            ) -> tuple[EvolutionState, ConvergenceTrace]:
-    """Run the full coevolution loop and return the final state and trace.
+    """Run the full coevolution loop; return its best pair and its trace.
 
     Deterministic given (data, cfg.seed): evaluation is sequential and
     draws from the same rng as the operators.
@@ -423,6 +413,4 @@ def evolve(data: Dataset, cfg: GaConfig
                                       tracker)
         trace.append(tracker.record(gen, _mean_fitness(perm_pop, bin_pop)))
 
-    state = EvolutionState(cfg.generations, perm_pop, bin_pop,
-                           tracker.solution(), trace)
-    return state, trace
+    return EvolutionState(tracker.best), trace

@@ -29,7 +29,7 @@ from .bayesnet import (
     random_network,
     save_structure,
 )
-from .encoding import combine, decode
+from .encoding import decode
 from .errors import (
     SchemaError,
     ValidationError,
@@ -266,7 +266,7 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
                 seconds = time.perf_counter() - t0
                 sol = state.best_so_far
                 record("ccga", run, sol.log_score, seconds,
-                       decode(combine(sol.perm, sol.bits)))
+                       decode((sol.perm, sol.bits)))
                 traces.append(trace)
 
                 k2_cfg = replace(cfg.k2, seed=derive_seed(

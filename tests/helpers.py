@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 
-from coevobn import BayesianNetwork, Dag, Dataset, Variable, local_log_score
+from coevobn import (
+    BayesianNetwork,
+    Dag,
+    Dataset,
+    SchemaError,
+    Variable,
+    local_log_score,
+)
+from coevobn.bayesnet import parent_config_index
 
 
 def binary_vars(n):
@@ -47,6 +55,27 @@ def chain4(seed=99):
     cpts = [rng.dirichlet(np.ones(2), size=1)]
     cpts += [rng.dirichlet(np.ones(2), size=2) for _ in range(3)]
     return BayesianNetwork(binary_vars(4), Dag(4, [(), (0,), (1,), (2,)]), cpts)
+
+
+def joint_probability(net, assignment):
+    """Probability of one full assignment: the product of its per-node CPT
+    entries. The oracle that sampled frequencies are checked against."""
+    if len(assignment) != net.n:
+        raise SchemaError(
+            f"assignment has {len(assignment)} values; network has {net.n} variables"
+        )
+    arities = net.arities
+    for i, v in enumerate(assignment):
+        if not 0 <= int(v) < arities[i]:
+            raise SchemaError(
+                f"value {v} for variable {net.variables[i].name!r} is outside "
+                f"0..{arities[i] - 1}"
+            )
+    prob = 1.0
+    for i in range(net.n):
+        j = parent_config_index(assignment, net.dag.parents[i], arities)
+        prob *= float(net.cpts[i][j, int(assignment[i])])
+    return prob
 
 
 def dataset(arities, rows):

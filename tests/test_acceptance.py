@@ -28,16 +28,13 @@ import numpy as np
 import pytest
 
 from coevobn import (
-    BinaryGenome,
     ExperimentConfig,
     GaConfig,
     K2Config,
-    PermutationGenome,
     Subpopulation,
     ancestral_sample,
     bde_log_score,
     bit_flip_mutation,
-    combine,
     count_dags,
     cycle_crossover,
     decode,
@@ -103,9 +100,9 @@ def test_criterion_4_representation_correctness():
     decodes = 0
     for n in range(3, 13):
         for _ in range(1000):
-            perm = PermutationGenome(rng.permutation(n))
-            bits = BinaryGenome(n, rng.random(triangular_size(n)) < 0.5)
-            dag = decode(combine(perm, bits))
+            perm = tuple(rng.permutation(n).tolist())
+            bits = rng.random(triangular_size(n)) < 0.5
+            dag = decode((perm, bits))
             dag.topological_order()  # raises if cyclic
             decodes += 1
     assert decodes == 10_000
@@ -205,34 +202,32 @@ def test_criterion_8_operator_properties():
     # crossover position membership and closure
     for _ in range(500):
         n = int(rng.integers(2, 10))
-        a = PermutationGenome(rng.permutation(n))
-        b = PermutationGenome(rng.permutation(n))
+        a = tuple(rng.permutation(n).tolist())
+        b = tuple(rng.permutation(n).tolist())
         c1, c2 = cycle_crossover(a, b)
         for child in (c1, c2):
-            assert sorted(child.order) == list(range(n))
-            assert all(child.order[p] in (a.order[p], b.order[p])
-                       for p in range(n))
+            assert sorted(child) == list(range(n))
+            assert all(child[p] in (a[p], b[p]) for p in range(n))
         E = triangular_size(n)
-        ga = BinaryGenome(n, rng.random(E) < 0.5)
-        gb = BinaryGenome(n, rng.random(E) < 0.5)
+        ga = rng.random(E) < 0.5
+        gb = rng.random(E) < 0.5
         d1, d2 = two_point_crossover(ga, gb, rng)
         for child in (d1, d2):
-            assert all(child.bits[k] in (ga.bits[k], gb.bits[k])
-                       for k in range(E))
+            assert all(child[k] in (ga[k], gb[k]) for k in range(E))
 
     # expected flips at p_mb = 1/E over 10,000 trials
     n = 6
     E = triangular_size(n)
-    zero = BinaryGenome(n, np.zeros(E, dtype=bool))
-    flips = np.array([int(bit_flip_mutation(zero, 1.0 / E, rng).bits.sum())
+    zero = np.zeros(E, dtype=bool)
+    flips = np.array([int(bit_flip_mutation(zero, 1.0 / E, rng).sum())
                       for _ in range(10_000)])
     assert abs(flips.mean() - 1.0) < 0.05
 
     # swap-mutation closure
     for _ in range(500):
         n = int(rng.integers(2, 10))
-        out = swap_mutation(PermutationGenome(rng.permutation(n)), 0.8, rng)
-        assert sorted(out.order) == list(range(n))
+        out = swap_mutation(tuple(rng.permutation(n).tolist()), 0.8, rng)
+        assert sorted(out) == list(range(n))
 
     # elitist replacement: size preserved, previous best kept
     prev = Subpopulation(PERMUTATION, ["e1", "e2", "e3", "e4"],

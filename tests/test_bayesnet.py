@@ -16,7 +16,6 @@ from coevobn import (
     ValidationError,
     Variable,
     ancestral_sample,
-    joint_probability,
     load_dataset,
     load_network,
     load_structure,
@@ -25,7 +24,14 @@ from coevobn import (
     save_network,
     save_structure,
 )
-from helpers import binary_vars, chain_pair, dataset, independent_pair, single_binary
+from helpers import (
+    binary_vars,
+    chain_pair,
+    dataset,
+    independent_pair,
+    joint_probability,
+    single_binary,
+)
 
 
 def exhaustive_joint(net):

@@ -1,4 +1,4 @@
-"""Genome types, the interleaved chromosome, and decode/encode round trips."""
+"""Orderings and edge-bit vectors as plain values, and decode/encode round trips."""
 
 import hashlib
 
@@ -7,26 +7,24 @@ import numpy as np
 import pytest
 
 from coevobn import (
-    BinaryGenome,
     EncodingError,
-    PermutationGenome,
-    ValidationError,
+    bit_flip_mutation,
     combine,
     count_dags,
     decode,
-    dump_solution,
     encode_dag,
     enumerate_dags,
-    split_interleaved,
+    init_binary_pop,
     triangular_index,
     triangular_size,
+    two_point_crossover,
 )
 from coevobn.encoding import decode_parents
 
 
 def random_pair(rng, n):
-    perm = PermutationGenome(rng.permutation(n))
-    bits = BinaryGenome(n, rng.random(triangular_size(n)) < 0.5)
+    perm = tuple(rng.permutation(n).tolist())
+    bits = rng.random(triangular_size(n)) < 0.5
     return perm, bits
 
 
@@ -56,89 +54,83 @@ class TestTriangularIndex:
 
 
 class TestGenomes:
+    """An ordering is a tuple and an edge vector a bool array; decode is
+    where a pair leaving the engine is checked."""
+
     def test_permutation_validated(self):
-        with pytest.raises(ValidationError):
-            PermutationGenome([0, 0, 1])
-        with pytest.raises(ValidationError):
-            PermutationGenome([1, 2, 3])
+        with pytest.raises(EncodingError, match="not a permutation"):
+            decode(((0, 0, 1), [1, 0, 1]))
+        with pytest.raises(EncodingError, match="not a permutation"):
+            decode(((1, 2, 3), [1, 0, 1]))
 
     def test_bit_length_validated(self):
-        with pytest.raises(EncodingError):
-            BinaryGenome(4, [1, 0, 1])
-
-    def test_equality_and_hash_on_packed_bits(self):
-        a = BinaryGenome(4, [1, 0, 1, 0, 0, 1])
-        b = BinaryGenome(4, np.array([True, False, True, False, False, True]))
-        assert a == b and hash(a) == hash(b)
-        assert a != BinaryGenome(4, [1, 0, 1, 0, 0, 0])
+        with pytest.raises(EncodingError, match="expected 6 edge bits"):
+            decode(((0, 1, 2, 3), [1, 0, 1]))
+        with pytest.raises(EncodingError, match="one-dimensional"):
+            decode(((0, 1, 2, 3), np.zeros((6, 1), dtype=bool)))
 
     def test_bits_are_frozen(self):
-        g = BinaryGenome(3, [1, 0, 1])
-        with pytest.raises(ValueError):
-            g.bits[0] = False
+        """Elitism and copy-through share members between generations, so
+        every bit vector the engine makes is read-only, and making children
+        never writes to a parent."""
+        rng = np.random.default_rng(5)
+        n = 6
+        members = init_binary_pop(n, 8, rng).members
+        assert all(not m.flags.writeable for m in members)
+        a, b = members[0], members[1]
+        before = a.copy(), b.copy()
+        children = list(two_point_crossover(a, b, rng))
+        flipped = bit_flip_mutation(a, 1.0, rng)
+        assert not np.array_equal(flipped, a)  # at least one bit flipped
+        children.append(flipped)
+        children.append(encode_dag(decode(((2, 0, 1, 3, 5, 4), a)))[1])
+        for child in children:
+            assert child is not a and child is not b
+            assert not child.flags.writeable
+            with pytest.raises(ValueError):
+                child[0] = not child[0]
+        assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
 
 
 class TestCombine:
-    def test_three_node_interleave(self):
-        # nodes: A=0, B=1, C=2; ordering (B, A, C) with bits 1,0,1
-        perm = PermutationGenome([1, 0, 2])
-        bits = BinaryGenome(3, [1, 0, 1])
-        sol = combine(perm, bits)
-        assert sol.interleaved == (1, 1, 0, 0, 1, 2)  # B 1 0 A 1 C
+    """combine only pairs its arguments; decode checks the pair."""
 
     def test_two_node_zero_bit(self):
-        sol = combine(PermutationGenome([0, 1]), BinaryGenome(2, [0]))
-        assert sol.interleaved == (0, 0, 1)
-        assert decode(sol).edge_count == 0
+        perm, bits = (0, 1), np.zeros(1, dtype=bool)
+        pair = combine(perm, bits)
+        assert pair[0] is perm and pair[1] is bits
+        assert decode(pair).edge_count == 0
 
     def test_single_node(self):
-        sol = combine(PermutationGenome([0]), BinaryGenome(1, []))
-        assert sol.interleaved == (0,)
+        dag = decode(combine((0,), []))
+        assert dag.n == 1 and dag.parents == ((),)
 
     def test_length_mismatch(self):
         with pytest.raises(EncodingError):
-            combine(PermutationGenome([0, 1, 2]), BinaryGenome(2, [1]))
-
-    def test_interleaved_length(self):
-        rng = np.random.default_rng(2)
-        for n in (1, 2, 5, 9):
-            sol = combine(*random_pair(rng, n))
-            assert len(sol.interleaved) == n + triangular_size(n)
-
-    def test_projection_recovers_both_genomes(self):
-        rng = np.random.default_rng(3)
-        for n in (1, 2, 4, 7):
-            perm, bits = random_pair(rng, n)
-            sol = combine(perm, bits)
-            back_perm, back_bits = split_interleaved(sol.interleaved, n)
-            assert back_perm == perm
-            assert back_bits == bits
+            decode(combine((0, 1, 2), [1]))
 
 
 class TestDecode:
     def test_worked_example(self):
         # ordering (B, A, C): bits c12=1, c13=0, c23=1 give B->A and A->C
-        sol = combine(PermutationGenome([1, 0, 2]), BinaryGenome(3, [1, 0, 1]))
-        dag = decode(sol)
+        dag = decode(((1, 0, 2), [1, 0, 1]))
         assert dag.parents == ((1,), (), (0,))
 
     def test_all_ones_is_complete_dag(self):
         rng = np.random.default_rng(4)
         for n in (2, 4, 6):
-            perm = PermutationGenome(rng.permutation(n))
-            bits = BinaryGenome(n, np.ones(triangular_size(n), dtype=bool))
-            assert decode(combine(perm, bits)).edge_count == triangular_size(n)
+            perm = tuple(rng.permutation(n).tolist())
+            bits = np.ones(triangular_size(n), dtype=bool)
+            assert decode((perm, bits)).edge_count == triangular_size(n)
 
     def test_all_zeros_is_empty_graph(self):
-        perm = PermutationGenome([2, 0, 1, 3])
-        bits = BinaryGenome(4, np.zeros(6, dtype=bool))
-        assert decode(combine(perm, bits)).edge_count == 0
+        assert decode(((2, 0, 1, 3), np.zeros(6, dtype=bool))).edge_count == 0
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_random_decodes_are_always_acyclic(self, n):
         rng = np.random.default_rng(n)
         for _ in range(200):
-            dag = decode(combine(*random_pair(rng, n)))
+            dag = decode(random_pair(rng, n))
             dag.topological_order()  # raises on a cycle
             g = nx.DiGraph(list(dag.edges()))
             g.add_nodes_from(range(n))
@@ -186,20 +178,9 @@ class TestEncodeDag:
     def test_every_dag_has_a_preimage(self, n):
         seen = 0
         for dag in enumerate_dags(n):
-            assert decode(encode_dag(dag)) == dag
+            perm, bits = encode_dag(dag)
+            assert type(perm) is tuple and bits.dtype == bool
+            assert decode((perm, bits)) == dag
             seen += 1
         assert seen == count_dags(n)
 
-
-class TestDumpFormat:
-    def test_golden_two_line_form(self):
-        sol = combine(PermutationGenome([1, 0, 2]), BinaryGenome(3, [1, 0, 1]))
-        assert dump_solution(sol, ["A", "B", "C"]) == "B A C\n101"
-
-    def test_default_names(self):
-        sol = combine(PermutationGenome([0, 1]), BinaryGenome(2, [1]))
-        assert dump_solution(sol) == "X1 X2\n1"
-
-    def test_single_node_has_empty_bit_line(self):
-        sol = combine(PermutationGenome([0]), BinaryGenome(1, []))
-        assert dump_solution(sol, ["A"]) == "A\n"

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from coevobn import (
-    BinaryGenome,
     EngineError,
     GaConfig,
-    PermutationGenome,
     Subpopulation,
     ValidationError,
     ancestral_sample,
@@ -27,8 +25,17 @@ from coevobn import (
 )
 from coevobn.evolution import BINARY, PERMUTATION
 from coevobn.scoring import LocalScoreCache, bde_log_score
-from coevobn.encoding import combine, decode
+from coevobn.encoding import decode
 from helpers import chain3, chain4, dataset
+
+
+def bools(digits):
+    """An edge-bit vector written as a string of 0s and 1s."""
+    return np.array([d == "1" for d in digits])
+
+
+def random_order(rng, n):
+    return tuple(rng.permutation(n).tolist())
 
 
 def subpop_with_fitness(species, members, fitness):
@@ -65,12 +72,12 @@ class TestConfig:
 class TestInitialization:
     def test_single_node_permutations(self):
         pop = init_permutation_pop(1, 6, np.random.default_rng(0))
-        assert all(m.order == (0,) for m in pop.members)
+        assert all(m == (0,) for m in pop.members)
 
     def test_permutation_invariant_holds(self):
         pop = init_permutation_pop(7, 30, np.random.default_rng(1))
         for m in pop.members:
-            assert sorted(m.order) == list(range(7))
+            assert sorted(m) == list(range(7))
 
     def test_same_seed_same_population(self):
         a = init_permutation_pop(6, 10, np.random.default_rng(42))
@@ -79,19 +86,19 @@ class TestInitialization:
 
     def test_binary_two_nodes_forced(self):
         pop = init_binary_pop(2, 8, np.random.default_rng(2))
-        assert all(m.bits.tolist() == [True] for m in pop.members)
+        assert all(m.tolist() == [True] for m in pop.members)
 
     def test_binary_members_are_trees(self):
         n = 4
         pop = init_binary_pop(n, 25, np.random.default_rng(3))
-        perm = PermutationGenome(range(n))
+        perm = tuple(range(n))
         for m in pop.members:
-            assert int(m.bits.sum()) == n - 1
-            dag = decode(combine(perm, m))
+            assert int(m.sum()) == n - 1
+            dag = decode((perm, m))
             in_degrees = [len(ps) for ps in dag.parents]
-            assert in_degrees[perm.order[0]] == 0
+            assert in_degrees[perm[0]] == 0
             assert all(d == 1 for node, d in enumerate(in_degrees)
-                       if node != perm.order[0])
+                       if node != perm[0])
 
 
 class TestTournament:
@@ -120,39 +127,39 @@ class TestTournament:
 
 class TestTwoPointCrossover:
     def test_identical_parents_identical_children(self):
-        g = BinaryGenome(4, [1, 0, 1, 1, 0, 0])
+        g = bools("101100")
         c1, c2 = two_point_crossover(g, g, np.random.default_rng(0))
-        assert c1 == g and c2 == g
+        assert np.array_equal(c1, g) and np.array_equal(c2, g)
 
     def test_worked_segment_swap(self):
-        a = BinaryGenome(4, [0, 0, 0, 0, 0, 0])
-        b = BinaryGenome(4, [1, 1, 1, 1, 1, 1])
+        a = bools("000000")
+        b = bools("111111")
         c1, c2 = two_point_crossover(a, b, CutsRng((4, 2)))
-        assert c1.to01() == "001100"
-        assert c2.to01() == "110011"
+        assert c1.tolist() == bools("001100").tolist()
+        assert c2.tolist() == bools("110011").tolist()
 
     def test_children_take_each_position_from_a_parent(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             n = int(rng.integers(2, 8))
             E = triangular_size(n)
-            a = BinaryGenome(n, rng.random(E) < 0.5)
-            b = BinaryGenome(n, rng.random(E) < 0.5)
+            a = rng.random(E) < 0.5
+            b = rng.random(E) < 0.5
             c1, c2 = two_point_crossover(a, b, rng)
             for k in range(E):
-                assert c1.bits[k] in (a.bits[k], b.bits[k])
-                assert c2.bits[k] in (a.bits[k], b.bits[k])
+                assert c1[k] in (a[k], b[k])
+                assert c2[k] in (a[k], b[k])
 
     def test_minimum_length_two_still_crosses(self):
-        a = BinaryGenome(2, [0])  # length-1 genome: degenerate copy
-        b = BinaryGenome(2, [1])
+        a = bools("0")  # length-1 genome: degenerate copy
+        b = bools("1")
         c1, c2 = two_point_crossover(a, b, np.random.default_rng(1))
-        assert (c1, c2) == (a, b)
+        assert c1 is a and c2 is b
 
 
 class TestCycleCrossover:
     def test_identical_parents(self):
-        g = PermutationGenome([3, 1, 0, 2])
+        g = (3, 1, 0, 2)
         c1, c2 = cycle_crossover(g, g)
         assert c1 == g and c2 == g
 
@@ -160,16 +167,16 @@ class TestCycleCrossover:
         # Classic 9-element instance, relabeled to 0-based values. The three
         # position cycles are {1,9,4,8}, {2,3,7,5}, {6} (1-based); child 1
         # takes the odd cycles from a, the even cycle from b.
-        a = PermutationGenome([0, 1, 2, 3, 4, 5, 6, 7, 8])
-        b = PermutationGenome([8, 2, 6, 7, 1, 5, 4, 0, 3])
+        a = (0, 1, 2, 3, 4, 5, 6, 7, 8)
+        b = (8, 2, 6, 7, 1, 5, 4, 0, 3)
         c1, c2 = cycle_crossover(a, b)
-        assert c1.order == (0, 2, 6, 3, 1, 5, 4, 7, 8)
-        assert c2.order == (8, 1, 2, 7, 4, 5, 6, 0, 3)
+        assert c1 == (0, 2, 6, 3, 1, 5, 4, 7, 8)
+        assert c2 == (8, 1, 2, 7, 4, 5, 6, 0, 3)
 
     def test_role_swap_swaps_children(self):
         rng = np.random.default_rng(9)
-        a = PermutationGenome(rng.permutation(7))
-        b = PermutationGenome(rng.permutation(7))
+        a = random_order(rng, 7)
+        b = random_order(rng, 7)
         c1, c2 = cycle_crossover(a, b)
         d1, d2 = cycle_crossover(b, a)
         assert (c1, c2) == (d2, d1)
@@ -178,56 +185,56 @@ class TestCycleCrossover:
         rng = np.random.default_rng(10)
         for _ in range(200):
             n = int(rng.integers(2, 10))
-            a = PermutationGenome(rng.permutation(n))
-            b = PermutationGenome(rng.permutation(n))
+            a = random_order(rng, n)
+            b = random_order(rng, n)
             c1, c2 = cycle_crossover(a, b)
             for child in (c1, c2):
-                assert sorted(child.order) == list(range(n))
+                assert sorted(child) == list(range(n))
                 for p in range(n):
-                    assert child.order[p] in (a.order[p], b.order[p])
+                    assert child[p] in (a[p], b[p])
 
 
 class TestMutation:
     def test_bit_flip_zero_probability_is_identity(self):
-        g = BinaryGenome(4, [1, 0, 1, 1, 0, 0])
-        assert bit_flip_mutation(g, 0.0, np.random.default_rng(0)) == g
+        g = bools("101100")
+        assert bit_flip_mutation(g, 0.0, np.random.default_rng(0)) is g
 
     def test_bit_flip_certain_probability_complements(self):
-        g = BinaryGenome(4, [1, 0, 1, 1, 0, 0])
+        g = bools("101100")
         flipped = bit_flip_mutation(g, 1.0, np.random.default_rng(0))
-        assert flipped.to01() == "010011"
+        assert flipped.tolist() == bools("010011").tolist()
 
     def test_expected_one_flip_at_default_rate(self):
         n = 6
         E = triangular_size(n)
-        g = BinaryGenome(n, np.zeros(E, dtype=bool))
+        g = np.zeros(E, dtype=bool)
         rng = np.random.default_rng(123)
-        flips = [int(bit_flip_mutation(g, 1.0 / E, rng).bits.sum())
+        flips = [int(bit_flip_mutation(g, 1.0 / E, rng).sum())
                  for _ in range(10_000)]
         assert abs(np.mean(flips) - 1.0) < 0.05
 
     def test_swap_zero_probability_is_identity(self):
-        g = PermutationGenome([2, 0, 1])
+        g = (2, 0, 1)
         assert swap_mutation(g, 0.0, np.random.default_rng(0)) == g
 
     def test_swap_forced_on_two_elements(self):
-        g = PermutationGenome([0, 1])
-        assert swap_mutation(g, 1.0, np.random.default_rng(0)).order == (1, 0)
+        g = (0, 1)
+        assert swap_mutation(g, 1.0, np.random.default_rng(0)) == (1, 0)
 
     def test_swap_single_element_is_identity(self):
-        g = PermutationGenome([0])
+        g = (0,)
         assert swap_mutation(g, 1.0, np.random.default_rng(0)) == g
 
     def test_operators_are_closed(self):
         rng = np.random.default_rng(77)
         for _ in range(300):
             n = int(rng.integers(2, 9))
-            perm = PermutationGenome(rng.permutation(n))
+            perm = random_order(rng, n)
             out = swap_mutation(perm, 0.7, rng)
-            assert sorted(out.order) == list(range(n))
-            bits = BinaryGenome(n, rng.random(triangular_size(n)) < 0.5)
+            assert sorted(out) == list(range(n))
+            bits = rng.random(triangular_size(n)) < 0.5
             mutated = bit_flip_mutation(bits, 0.3, rng)
-            assert len(mutated) == triangular_size(n)
+            assert mutated.shape == (triangular_size(n),)
 
 
 class TestElitistReplacement:
@@ -260,11 +267,11 @@ class TestEvaluate:
         self.data = ancestral_sample(chain3(0.9), 200, seed=1)
 
     def score_pair(self, perm, bits):
-        return bde_log_score(self.data, decode(combine(perm, bits)))
+        return bde_log_score(self.data, decode((perm, bits)))
 
     def test_singleton_pool_collapses_to_one_score(self):
-        perm = PermutationGenome([0, 1, 2])
-        bits = BinaryGenome(3, [1, 0, 1])
+        perm = (0, 1, 2)
+        bits = bools("101")
         other = subpop_with_fitness(BINARY, [bits], [-1.0])
         got = evaluate([perm], PERMUTATION, other, LocalScoreCache(self.data),
                        np.random.default_rng(0))
@@ -272,8 +279,8 @@ class TestEvaluate:
 
     def test_at_least_best_collaborator_score(self):
         rng = np.random.default_rng(4)
-        members = [BinaryGenome(3, rng.random(3) < 0.5) for _ in range(6)]
-        perms = [PermutationGenome([2, 0, 1]), PermutationGenome([1, 2, 0])]
+        members = [rng.random(3) < 0.5 for _ in range(6)]
+        perms = [(2, 0, 1), (1, 2, 0)]
         fitness = [self.score_pair(perms[0], b) for b in members]
         other = subpop_with_fitness(BINARY, members, fitness)
         got = evaluate(perms, PERMUTATION, other, LocalScoreCache(self.data),
@@ -283,8 +290,8 @@ class TestEvaluate:
             assert score >= self.score_pair(perm, other.best)
 
     def test_generation_zero_reproducible(self):
-        perms = [PermutationGenome([0, 1, 2]), PermutationGenome([2, 1, 0])]
-        members = [BinaryGenome(3, [1, 0, 0]), BinaryGenome(3, [0, 1, 1])]
+        perms = [(0, 1, 2), (2, 1, 0)]
+        members = [bools("100"), bools("011")]
         other = Subpopulation(BINARY, members)  # no fitness: random partner only
         a = evaluate(perms, PERMUTATION, other, LocalScoreCache(self.data),
                      np.random.default_rng(8))
@@ -347,7 +354,7 @@ class TestEvolve:
         state, _ = evolve(self.data, self.small_config())
         best = state.best_so_far
         rescored = bde_log_score(
-            self.data, decode(combine(best.perm, best.bits)))
+            self.data, decode((best.perm, best.bits)))
         assert rescored == pytest.approx(best.log_score, rel=1e-12)
 
     def test_trace_csv_format(self):
@@ -410,7 +417,7 @@ class TestGoldenTrajectory:
                                              seed=5))
         assert trace.to_csv() == GOLDEN_N3
         best = state.best_so_far
-        assert (best.perm.order, best.bits.to01()) == ((0, 1, 2), "101")
+        assert (best.perm, best.bits.tolist()) == ((0, 1, 2), bools("101").tolist())
 
     def test_six_node_random_network(self):
         data = ancestral_sample(random_network(6, 3, 0.4, seed=2), 300, seed=3)
@@ -418,5 +425,5 @@ class TestGoldenTrajectory:
                                              seed=7))
         assert trace.to_csv() == GOLDEN_N6
         best = state.best_so_far
-        assert (best.perm.order, best.bits.to01()) == \
-            ((3, 5, 2, 4, 1, 0), "111001000000111")
+        assert (best.perm, best.bits.tolist()) == \
+            ((3, 5, 2, 4, 1, 0), bools("111001000000111").tolist())

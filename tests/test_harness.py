@@ -33,7 +33,7 @@ from coevobn import (
 )
 from coevobn import harness
 from coevobn.bayesnet import Dag, Variable
-from coevobn.encoding import combine, decode
+from coevobn.encoding import decode
 from helpers import dataset
 
 
@@ -302,7 +302,7 @@ class TestRunComparison:
         def spy_evolve(data, cfg):
             state, trace = real_evolve(data, cfg)
             best = state.best_so_far
-            ccga_runs.append((best.log_score, decode(combine(best.perm, best.bits))))
+            ccga_runs.append((best.log_score, decode((best.perm, best.bits))))
             return state, trace
 
         # a distinct DAG per run; run 1 and run 2 tie for the top score

@@ -18,7 +18,6 @@ from coevobn import (
     count_stats,
     exhaustive_best,
     fit_network,
-    joint_probability,
     local_log_score,
     prequential_log_score,
 )
@@ -28,6 +27,7 @@ from helpers import (
     chain3,
     dataset,
     distinct_parent_rows,
+    joint_probability,
     random_instance,
     reference_local_score,
 )
