@@ -8,7 +8,6 @@ engine and its operators (evolution), K2 and brute-force oracles
 """
 
 from .baselines import (
-    ExhaustiveBest,
     K2Config,
     count_dags,
     enumerate_dags,
@@ -64,7 +63,6 @@ from .evolution import (
     two_point_crossover,
 )
 from .harness import (
-    ComparisonReport,
     ExperimentConfig,
     derive_seed,
     run_comparison,

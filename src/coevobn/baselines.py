@@ -20,8 +20,6 @@ from .scoring import LocalScoreCache, local_log_score, score_parent_sets, table_
 
 ENUMERATION_LIMIT = 5
 COUNT_LIMIT = 500           # count_dags(500) has 38,602 digits
-EXHAUSTIVE_SEARCH_LIMIT = 4
-TIE_TOLERANCE = 1e-9        # exhaustive_best: scores this close to the optimum tie
 
 
 @dataclass
@@ -202,23 +200,7 @@ def score_all_dags(data: Dataset) -> Iterator[tuple[Dag, float]]:
         yield dag, score_parent_sets(dag.parents, cache)
 
 
-@dataclass
-class ExhaustiveBest:
-    dag: Dag
-    log_score: float
-    ties: list[Dag]          # every structure within TIE_TOLERANCE of the optimum
-    num_evaluated: int
-
-
-def exhaustive_best(data: Dataset) -> ExhaustiveBest:
-    """Global optimum by scoring every structure (n <= 4)."""
-    n = data.n_cols
-    if n > EXHAUSTIVE_SEARCH_LIMIT:
-        raise ValidationError(
-            f"exhaustive search is limited to {EXHAUSTIVE_SEARCH_LIMIT} nodes "
-            f"({count_dags(EXHAUSTIVE_SEARCH_LIMIT)} structures); got {n}"
-        )
-    results = list(score_all_dags(data))
-    best_dag, best_score = max(results, key=lambda pair: pair[1])
-    ties = [dag for dag, s in results if s >= best_score - TIE_TOLERANCE]
-    return ExhaustiveBest(best_dag, best_score, ties, len(results))
+def exhaustive_best(data: Dataset) -> tuple[Dag, float]:
+    """Global optimum (dag, log score) by scoring every structure (up to
+    ENUMERATION_LIMIT variables); the first structure enumerated wins ties."""
+    return max(score_all_dags(data), key=lambda pair: pair[1])

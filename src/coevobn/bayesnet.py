@@ -300,12 +300,9 @@ def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
     """Generate a random network: random topological order, independent
     edge coin-flips at `edge_density`, per-node arity uniform in
     2..max_arity, and flat-Dirichlet CPT rows."""
-    if n < 1:
-        raise ValidationError(f"node count must be >= 1, got {n}")
-    if not 0.0 <= edge_density <= 1.0:
-        raise ValidationError(f"edge_density must lie in [0, 1], got {edge_density}")
-    if max_arity < 2:
-        raise ValidationError(f"max_arity must be >= 2, got {max_arity}")
+    check_number("nodes", n, integer=True, low=1)
+    check_number("max_arity", max_arity, integer=True, low=2)
+    check_number("edge_density", edge_density, low=0, high=1)
     check_number("seed", seed, integer=True, low=0)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)

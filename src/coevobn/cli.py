@@ -10,15 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 
-from .baselines import (
-    K2Config,
-    count_dags,
-    enumerate_dags,
-    k2_learn,
-    score_all_dags,
-)
+from .baselines import K2Config, count_dags, k2_learn, score_all_dags
 from .bayesnet import (
     Dag,
     ancestral_sample,
@@ -51,8 +46,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coevobn",
         description="Bayesian network structure learning toolkit",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no parser takes a prefix of a flag for the flag itself
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("random-net",
                        help="generate a synthetic ground-truth network")
@@ -106,11 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="output directory (default: the config's out_dir)")
 
     p = sub.add_parser("enumerate",
-                       help="enumerate all DAGs on n nodes, optionally scoring them")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--data", type=str, default=None)
-    p.add_argument("--out-file", type=str, default=None,
-                   help="with --data, write the scores here")
+                       help="score every DAG on a dataset's variables (up to 5)")
+    p.add_argument("--data", type=str, required=True)
+    p.add_argument("--out-file", type=str, default=None)
 
     p = sub.add_parser("count-dags",
                        help="exact number of labeled DAGs on n nodes")
@@ -196,39 +193,27 @@ def _cmd_compare(args) -> int:
     if args.seed is not None:
         cfg.master_seed = args.seed
     report = run_comparison(cfg)
-    for entry in report.entries:
-        d = entry.to_dict()
-        p = d["p_value_ccga_greater"]
-        print(f"sample_size={entry.sample_size} "
-              f"ccga_mean={d['ccga']['mean']:.6f} k2_mean={d['k2']['mean']:.6f} "
+    for entry in report["results"]:
+        p = entry["p_value_ccga_greater"]
+        print(f"sample_size={entry['sample_size']} "
+              f"ccga_mean={entry['ccga']['mean']:.6f} "
+              f"k2_mean={entry['k2']['mean']:.6f} "
               f"p={'n/a' if p is None else format(p, '.6f')}")
     print(f"wrote {Path(cfg.out_dir) / 'report.json'}")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    if args.data is not None:
-        data = load_dataset(args.data)
-        if data.n_cols != args.nodes:
-            raise SchemaError(
-                f"--nodes {args.nodes} does not match dataset columns "
-                f"{data.n_cols}"
-            )
-        lines = ["dag,score"]
-        count = 0
-        for dag, score in score_all_dags(data):
-            spec = ";".join(",".join(map(str, ps)) for ps in dag.parents)
-            lines.append(f"{spec},{score:.6f}")
-            count += 1
-        text = "\n".join(lines) + "\n"
-        if args.out_file:
-            Path(args.out_file).write_text(text)
-            print(f"wrote {args.out_file} ({count} structures)")
-        else:
-            sys.stdout.write(text)
-        return 0
-    total = sum(1 for _ in enumerate_dags(args.nodes))
-    print(total)
+    lines = ["dag,score"]
+    for dag, score in score_all_dags(load_dataset(args.data)):
+        spec = ";".join(",".join(map(str, ps)) for ps in dag.parents)
+        lines.append(f"{spec},{score:.6f}")
+    text = "\n".join(lines) + "\n"
+    if args.out_file:
+        Path(args.out_file).write_text(text)
+        print(f"wrote {args.out_file} ({len(lines) - 1} structures)")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -256,8 +241,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         # options that do nothing without another one
         if getattr(args, "fit_cpts", False) and args.out is None:
             parser.error("--fit-cpts needs --out")
-        if args.command == "enumerate" and args.out_file and args.data is None:
-            parser.error("--out-file needs --data")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -259,26 +259,37 @@ class TestK2IndexExtension:
 class TestExhaustiveBest:
     def test_single_variable(self):
         data = dataset([2], [[0], [1], [1]])
-        result = exhaustive_best(data)
-        assert result.dag.parents == ((),)
-        assert result.num_evaluated == 1
+        dag, score = exhaustive_best(data)
+        assert dag.parents == ((),)
+        assert score == bde_log_score(data, dag)
 
     def test_three_nodes_scores_all_25(self):
+        # the first of the 25 structures to reach the top score wins
         rng = np.random.default_rng(2)
         data = dataset([2] * 3, rng.integers(0, 2, size=(30, 3)))
-        result = exhaustive_best(data)
-        assert result.num_evaluated == 25
+        scored = list(score_all_dags(data))
+        assert len(scored) == 25
+        top = max(score for _, score in scored)
+        assert exhaustive_best(data) == next(
+            (dag, score) for dag, score in scored if score == top)
 
     def test_optimum_dominates_specific_structures(self):
         rng = np.random.default_rng(4)
         data = dataset([2] * 3, rng.integers(0, 2, size=(50, 3)))
-        result = exhaustive_best(data)
+        best, score = exhaustive_best(data)
         for dag in (Dag(3, [(), (), ()]), Dag(3, [(), (0,), (0, 1)]),
                     Dag(3, [(), (0,), (1,)])):
-            assert result.log_score >= bde_log_score(data, dag)
-        assert result.dag in result.ties
+            assert score >= bde_log_score(data, dag)
+        assert score == bde_log_score(data, best)
 
-    def test_refuses_more_than_four_nodes(self):
-        data = dataset([2] * 5, np.zeros((3, 5), dtype=int))
-        with pytest.raises(ValidationError):
+    def test_five_nodes(self):
+        rng = np.random.default_rng(5)
+        data = dataset([2, 3, 2, 3, 2], rng.integers(0, 2, size=(40, 5)))
+        best, score = exhaustive_best(data)
+        assert score == bde_log_score(data, best)
+        assert score >= bde_log_score(data, Dag(5, [()] * 5))
+
+    def test_refuses_more_than_five_nodes(self):
+        data = dataset([2] * 6, np.zeros((3, 6), dtype=int))
+        with pytest.raises(ValidationError, match="limit is 5"):
             exhaustive_best(data)

@@ -197,6 +197,20 @@ class TestRandomNetwork:
         with pytest.raises(ValidationError):
             random_network(3, 2, 1.5, seed=0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((2.5,), "nodes"),
+        (("4",), "nodes"),
+        ((0,), "nodes"),
+        ((4, 2.5), "max_arity"),
+        ((4, 1), "max_arity"),
+        ((4, 2, True), "edge_density"),
+        ((4, 2, "0.4"), "edge_density"),
+        ((4, 2, 0.4, 1.5), "seed"),
+    ])
+    def test_bad_argument_rejected(self, args, name):
+        with pytest.raises(ValidationError, match=name):
+            random_network(*args)
+
     def test_cpt_above_the_dense_limit_rejected_before_drawing(self, monkeypatch):
         # a complete binary DAG on 3 nodes: its last node has 2 * 2 * 2 cells
         full = random_network(3, 2, 1.0, seed=0)

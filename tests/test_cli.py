@@ -64,25 +64,30 @@ class TestUsageErrors:
         ["count-dags", "3", "--bogus"],
         ["count-dags", "3", "--seed", "1"],
         ["score", "--net", "{net}", "--data", "{data}", "--config", "{cfg}"],
-        ["enumerate", "--nodes", "3", "--out", "{out}"],
         ["learn-k2", "--data", "{data}", "--config", "{cfg}"],
         ["--seed", "5", "count-dags", "3"],
-    ], ids=["bogus", "count-dags-seed", "score-config", "enumerate-out",
-            "learn-k2-config", "seed-before-command"])
+        # a prefix of a flag is not taken for it (--out-file, --max-parents,
+        # --seed)
+        ["enumerate", "--data", "{data}", "--out", "{out}"],
+        ["learn-k2", "--data", "{data}", "--max", "1", "--see", "3"],
+    ], ids=["bogus", "count-dags-seed", "score-config", "learn-k2-config",
+            "seed-before-command", "enumerate-out", "learn-k2-max-see"])
     def test_unknown_flag(self, capsys, tmp_path, argv):
         paths = {name: tmp_path / name for name in ("net", "data", "cfg", "out")}
         run(capsys, "random-net", "--nodes", "3", "--out-file", str(paths["net"]))
         run(capsys, "sample", "--net", str(paths["net"]), "--rows", "20",
             "--out-file", str(paths["data"]))
         paths["cfg"].write_text("{}")
-        code, _, _ = run(capsys, *(arg.format(**paths) for arg in argv))
+        before = sorted(tmp_path.iterdir())
+        code, out, _ = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 2
+        assert out == ""
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("argv", [
         ["learn-k2", "--data", "d.csv", "--fit-cpts"],
         ["learn-ccga", "--data", "d.csv", "--fit-cpts"],
-        ["enumerate", "--nodes", "3", "--out-file", "scores.csv"],
-    ], ids=["learn-k2", "learn-ccga", "enumerate"])
+    ], ids=["learn-k2", "learn-ccga"])
     def test_flag_without_its_partner(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -165,9 +170,6 @@ class TestPipeline:
         assert (tmp_path / "ccga" / "ccga_trace.csv").exists()
 
     def test_enumerate_counts_and_scores(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "enumerate", "--nodes", "3")
-        assert code == 0 and out.strip() == "25"
-
         net = tmp_path / "net.json"
         data = tmp_path / "data.csv"
         run(capsys, "random-net", "--nodes", "3", "--density", "0.5",
@@ -175,18 +177,21 @@ class TestPipeline:
         run(capsys, "sample", "--net", str(net), "--rows", "40", "--seed", "2",
             "--out-file", str(data))
         scores = tmp_path / "scores.csv"
-        code, _, _ = run(capsys, "enumerate", "--nodes", "3", "--data",
-                         str(data), "--out-file", str(scores))
+        code, out, _ = run(capsys, "enumerate", "--data", str(data),
+                           "--out-file", str(scores))
         assert code == 0
+        assert out == f"wrote {scores} (25 structures)\n"
         lines = scores.read_text().strip().split("\n")
         assert lines[0] == "dag,score"
         assert len(lines) == 26
+        code, out, _ = run(capsys, "enumerate", "--data", str(data))
+        assert code == 0
+        assert out == scores.read_text()
 
-    def test_enumerate_node_mismatch(self, capsys, tmp_path):
-        data = tmp_path / "data.csv"
-        data.write_text("A:2,B:2\n0,1\n")
-        code, _, _ = run(capsys, "enumerate", "--nodes", "3", "--data", str(data))
+    def test_enumerate_requires_data(self, capsys):
+        code, _, err = run(capsys, "enumerate")
         assert code == 2
+        assert "--data" in err
 
 
 class TestDenseStructures:

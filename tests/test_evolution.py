@@ -345,7 +345,7 @@ class TestEvolve:
 
     def test_reaches_global_optimum_on_small_instance(self):
         data = ancestral_sample(chain4(), 400, seed=9)
-        optimum = exhaustive_best(data).log_score
+        _, optimum = exhaustive_best(data)
         state, _ = evolve(data, GaConfig(generations=60, population_size=30,
                                          seed=1))
         assert abs(state.best_so_far.log_score - optimum) <= 1e-9

@@ -162,6 +162,41 @@ def tiny_config(out_dir, runs=3, **overrides):
     return ExperimentConfig(**base)
 
 
+# report.json of tiny_config, pinned so that a change to how the report is
+# built cannot change a byte of it
+GOLDEN_REPORT = """\
+{
+  "master_seed": 42,
+  "runs": 3,
+  "results": [
+    {
+      "sample_size": 120,
+      "ccga": {
+        "mean": -273.232694,
+        "std": 13.339641,
+        "min": -288.187967,
+        "max": -262.561175
+      },
+      "k2": {
+        "mean": -275.440055,
+        "std": 14.942141,
+        "min": -292.027857,
+        "max": -263.035048
+      },
+      "original": {
+        "mean": -274.352515,
+        "std": 12.247576,
+        "min": -288.424221,
+        "max": -266.094603
+      },
+      "mean_difference": 2.207361,
+      "p_value_ccga_greater": 0.429017
+    }
+  ]
+}
+"""
+
+
 class TestExperimentConfig:
     def test_requires_exactly_one_source(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -241,7 +276,7 @@ class TestRunComparison:
             assert entry[algo]["min"] <= entry[algo]["mean"] <= entry[algo]["max"]
             assert entry[algo]["std"] >= 0
         assert 0.0 < entry["p_value_ccga_greater"] < 1.0
-        assert report.entries[0].sample_size == 120
+        assert report == doc
 
     def test_paired_runs_share_datasets(self, tmp_path):
         run_comparison(tiny_config(tmp_path))
@@ -251,6 +286,12 @@ class TestRunComparison:
         for row in rows:
             per_run.setdefault(row["run"], set()).add(row["dataset"])
         assert all(len(ids) == 1 for ids in per_run.values())
+
+    def test_report_matches_golden_bytes(self, tmp_path):
+        report = run_comparison(tiny_config(tmp_path))
+        text = (tmp_path / "report.json").read_text()
+        assert text == GOLDEN_REPORT
+        assert report == json.loads(text)
 
     def test_byte_identical_rerun(self, tmp_path):
         run_comparison(tiny_config(tmp_path / "a"))
@@ -337,11 +378,11 @@ class TestRunComparison:
         cfg = tiny_config(tmp_path / "out", runs=2,
                           generator=None, network_file=str(tmp_path / "truth.json"))
         report = run_comparison(cfg)
-        assert len(report.entries) == 1
+        assert len(report["results"]) == 1
 
     def test_multiple_sample_sizes_make_suffixed_traces(self, tmp_path):
         cfg = tiny_config(tmp_path, runs=1, sample_sizes=[60, 90])
         report = run_comparison(cfg)
         assert (tmp_path / "trace_mean_60.csv").exists()
         assert (tmp_path / "trace_mean_90.csv").exists()
-        assert [e.sample_size for e in report.entries] == [60, 90]
+        assert [e["sample_size"] for e in report["results"]] == [60, 90]

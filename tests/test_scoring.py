@@ -381,8 +381,8 @@ class TestConsistencyAtDeskScale:
         assert truth >= complete
         # and no structure among all 25 beats it by more than an
         # orientation tie
-        best = exhaustive_best(data)
-        assert truth <= best.log_score
+        _, optimum = exhaustive_best(data)
+        assert truth <= optimum
 
 
 class TestFitNetwork:
