@@ -50,7 +50,6 @@ from .evolution import (
     ConvergenceTrace,
     EvolutionState,
     GaConfig,
-    Subpopulation,
     bit_flip_mutation,
     cycle_crossover,
     elitist_replace,

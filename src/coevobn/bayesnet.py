@@ -223,7 +223,11 @@ class Dataset:
     __slots__ = ("variables", "rows", "arities")
 
     def __init__(self, variables: Sequence[Variable], rows):
-        self._init(variables, np.array(rows, dtype=np.int64, order="F"))
+        try:
+            arr = np.array(rows, dtype=np.int64, order="F")
+        except OverflowError:  # a cell beyond int64 is outside every arity
+            arr = np.array(rows, dtype=object, order="F")  # _init names it
+        self._init(variables, arr)
 
     @classmethod
     def _adopt(cls, variables: Sequence[Variable], arr: np.ndarray) -> Dataset:
@@ -388,13 +392,18 @@ def _parse_parents(doc: dict, path, n: int) -> Dag:
     return Dag(n, raw)
 
 
-def save_network(net: BayesianNetwork, path) -> None:
+def network_json(variables: Sequence[Variable], dag: Dag, cpts=None) -> str:
+    """The text of a network file; "cpts" is null in a structure file."""
     doc = {
-        "variables": [{"name": v.name, "arity": v.arity} for v in net.variables],
-        "parents": [list(ps) for ps in net.dag.parents],
-        "cpts": [t.tolist() for t in net.cpts],
+        "variables": [{"name": v.name, "arity": v.arity} for v in variables],
+        "parents": [list(ps) for ps in dag.parents],
+        "cpts": None if cpts is None else [t.tolist() for t in cpts],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def save_network(net: BayesianNetwork, path) -> None:
+    Path(path).write_text(network_json(net.variables, net.dag, net.cpts))
 
 
 def load_network(path) -> BayesianNetwork:
@@ -422,12 +431,7 @@ def load_network(path) -> BayesianNetwork:
 
 def save_structure(variables: Sequence[Variable], dag: Dag, path) -> None:
     """Write a network file without parameters ("cpts": null)."""
-    doc = {
-        "variables": [{"name": v.name, "arity": v.arity} for v in variables],
-        "parents": [list(ps) for ps in dag.parents],
-        "cpts": None,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(network_json(variables, dag))
 
 
 def load_structure(path) -> tuple[list[Variable], Dag]:
@@ -438,11 +442,17 @@ def load_structure(path) -> tuple[list[Variable], Dag]:
     return variables, dag
 
 
+def write_dataset(data: Dataset, f) -> None:
+    """Write a dataset file's text to the open text file `f`: a name:arity
+    header, then one line per row."""
+    writer = csv.writer(f)
+    writer.writerow([f"{v.name}:{v.arity}" for v in data.variables])
+    writer.writerows(data.rows.tolist())
+
+
 def save_dataset(data: Dataset, path) -> None:
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"{v.name}:{v.arity}" for v in data.variables])
-        writer.writerows(data.rows.tolist())
+        write_dataset(data, f)
 
 
 def load_dataset(path) -> Dataset:

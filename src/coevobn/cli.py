@@ -19,11 +19,13 @@ from .bayesnet import (
     ancestral_sample,
     load_dataset,
     load_network,
+    network_json,
     random_network,
     read_json,
     save_dataset,
     save_network,
     save_structure,
+    write_dataset,
 )
 from .encoding import decode
 from .errors import (
@@ -147,7 +149,7 @@ def _cmd_random_net(args) -> int:
         save_network(net, args.out_file)
         print(f"wrote {args.out_file} ({net.n} nodes, {net.dag.edge_count} edges)")
     else:
-        save_network(net, "/dev/stdout")
+        sys.stdout.write(network_json(net.variables, net.dag, net.cpts))
     return 0
 
 
@@ -158,7 +160,7 @@ def _cmd_sample(args) -> int:
         save_dataset(data, args.out_file)
         print(f"wrote {args.out_file} ({data.n_rows} rows)")
     else:
-        save_dataset(data, "/dev/stdout")
+        write_dataset(data, sys.stdout)
     return 0
 
 

@@ -1,21 +1,22 @@
 """Cooperative coevolution of node orderings and edge bitstrings.
 
-Two subpopulations evolve side by side: permutations of the nodes (tuples
-of ints) and binary connectivity vectors (read-only bool arrays). A
-member's fitness is the score of the best complete solution it forms with
-collaborators from the other subpopulation (the recorded best plus one
-uniformly random member; the higher assembled score is credited). At
-generation 0 no best exists yet, so only a random collaborator is used.
+Two species evolve side by side, each a list of members with an aligned
+fitness array: permutations of the nodes (tuples of ints) and binary
+connectivity vectors (read-only bool arrays). A member's fitness is the
+best score it forms with collaborators from the other species: the other's
+fittest member and one uniformly random member. At generation 0 no fitness
+exists yet, so only a random collaborator is used.
 
-Each generation runs selection, crossover, mutation, evaluation, and
-elitist replacement for the permutation species and then for the binary
-species. Evaluation is sequential, so runs are deterministic given the
-seed.
+Each generation runs selection, crossover, mutation, evaluation and
+elitist replacement for the permutation species and then, with the other
+operators, for the binary species. Evaluation is sequential, so runs are
+deterministic given the seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,9 +24,6 @@ from .bayesnet import Dataset
 from .encoding import decode_parents, triangular_index, triangular_size
 from .errors import EmptyDataError, EngineError, ValidationError, check_number
 from .scoring import LocalScoreCache, score_parent_sets
-
-PERMUTATION = "permutation"
-BINARY = "binary"
 
 
 @dataclass
@@ -53,28 +51,6 @@ class GaConfig:
         check_number("p_mp", self.p_mp, low=0, high=1)
         if self.p_mb is not None:  # None: one expected flip, resolved in evolve
             check_number("p_mb", self.p_mb, low=0, high=1)
-
-
-@dataclass
-class Subpopulation:
-    """One species' members and their fitness values (aligned by index)."""
-
-    species: str
-    members: list
-    fitness: np.ndarray | None = None
-
-    @property
-    def best_index(self) -> int:
-        if self.fitness is None:
-            raise EngineError("subpopulation has no recorded fitness yet")
-        return int(np.argmax(self.fitness))  # ties: lowest index
-
-    @property
-    def best(self):
-        return self.members[self.best_index]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -137,13 +113,12 @@ class EvolutionState:
 # Initialization
 # ---------------------------------------------------------------------------
 
-def init_permutation_pop(n: int, size: int, rng: np.random.Generator) -> Subpopulation:
+def init_permutation_pop(n: int, size: int, rng: np.random.Generator) -> list:
     """Uniformly random orderings, no further constraints."""
-    members = [tuple(rng.permutation(n).tolist()) for _ in range(size)]
-    return Subpopulation(PERMUTATION, members)
+    return [tuple(rng.permutation(n).tolist()) for _ in range(size)]
 
 
-def init_binary_pop(n: int, size: int, rng: np.random.Generator) -> Subpopulation:
+def init_binary_pop(n: int, size: int, rng: np.random.Generator) -> list:
     """Sparse start: every position j > 1 gets exactly one parent position,
     uniform among 1..j-1, so each decoded graph is a tree rooted at the
     first position."""
@@ -156,36 +131,34 @@ def init_binary_pop(n: int, size: int, rng: np.random.Generator) -> Subpopulatio
             bits[triangular_index(i, j, n)] = True
         bits.setflags(write=False)
         members.append(bits)
-    return Subpopulation(BINARY, members)
+    return members
 
 
 # ---------------------------------------------------------------------------
 # Genetic operators
 # ---------------------------------------------------------------------------
 
-def tournament_select(pop: Subpopulation, rng: np.random.Generator) -> list:
+def tournament_select(members: list, fitness, rng: np.random.Generator) -> list:
     """Two independent random pairings; the fitter member of each pair
     advances (ties by coin flip). Every member competes exactly once per
     pairing, so each participates in exactly two tournaments and the pool
     size equals the population size."""
-    size = len(pop)
+    size = len(members)
     if size % 2 != 0:
         raise EngineError(f"tournament pairing needs an even population, got {size}")
-    if pop.fitness is None:
-        raise EngineError("tournament selection requires evaluated fitness")
     pool = []
     for _ in range(2):
         order = rng.permutation(size)
         for t in range(0, size, 2):
             i, j = int(order[t]), int(order[t + 1])
-            fi, fj = pop.fitness[i], pop.fitness[j]
+            fi, fj = fitness[i], fitness[j]
             if fi > fj:
                 winner = i
             elif fj > fi:
                 winner = j
             else:
                 winner = i if rng.random() < 0.5 else j
-            pool.append(pop.members[winner])
+            pool.append(members[winner])
     return pool
 
 
@@ -278,103 +251,60 @@ def swap_mutation(g: tuple[int, ...], p_mp: float,
     return tuple(order)
 
 
-def elitist_replace(prev: Subpopulation, offspring_members: list,
-                    offspring_fitness) -> Subpopulation:
-    """Next generation: previous best member plus all offspring except the
-    single worst-fitness child (ties for worst: lowest index)."""
+def elitist_replace(members: list, fitness, offspring: list, offspring_fitness
+                    ) -> tuple[list, np.ndarray]:
+    """Next generation: the fittest previous member (ties: lowest index)
+    plus all offspring except the single worst-fitness child (ties for
+    worst: lowest index). Returns the new (members, fitness)."""
     offspring_fitness = np.asarray(offspring_fitness, dtype=float)
-    if len(offspring_members) != len(prev) or offspring_fitness.size != len(prev):
+    if len(offspring) != len(members) or offspring_fitness.size != len(members):
         raise EngineError(
-            f"offspring count {len(offspring_members)} does not match "
-            f"population size {len(prev)}"
+            f"offspring count {len(offspring)} does not match "
+            f"population size {len(members)}"
         )
     worst = int(np.argmin(offspring_fitness))
-    elite_fit = prev.fitness[prev.best_index]
-    members = [prev.best] + [m for k, m in enumerate(offspring_members) if k != worst]
-    fitness = np.concatenate([[elite_fit], np.delete(offspring_fitness, worst)])
-    return Subpopulation(prev.species, members, fitness)
+    elite = int(np.argmax(fitness))
+    return ([members[elite]] + [m for k, m in enumerate(offspring) if k != worst],
+            np.concatenate([[fitness[elite]], np.delete(offspring_fitness, worst)]))
 
 
 # ---------------------------------------------------------------------------
 # Fitness evaluation
 # ---------------------------------------------------------------------------
 
-class _BestTracker:
-    """Running argmax over every complete solution scored in a run, plus the
-    number of solutions scored since the last trace record."""
-
-    def __init__(self):
-        self.best: BestSolution | None = None
-        self._evaluations = 0
-
-    def update(self, perm: tuple[int, ...], bits: np.ndarray, score: float) -> None:
-        self._evaluations += 1
-        if self.best is None or score > self.best.log_score:
-            self.best = BestSolution(perm, bits, score)
-
-    def record(self, generation: int, mean_score: float) -> TraceRecord:
-        """Close a generation: its trace record, then restart the count."""
-        record = TraceRecord(generation, self.best.log_score, mean_score,
-                             self._evaluations)
-        self._evaluations = 0
-        return record
-
-
-def evaluate(members: list, own_species: str, other_pop: Subpopulation,
-             cache: LocalScoreCache, rng: np.random.Generator,
-             tracker: _BestTracker | None = None) -> np.ndarray:
+def evaluate(members: list, partners: list, partner_fitness, score,
+             rng: np.random.Generator) -> np.ndarray:
     """Credit each member with the score of its best assembled solution.
 
-    Collaborators: the other subpopulation's recorded best once fitness
-    exists (generation 0 has none), then one uniformly random member. All
+    `score(member, partner)` is the log score of one assembled pair.
+    Collaborators: the fittest partner once `partner_fitness` exists
+    (generation 0 passes None), then one uniformly random partner. All
     random partners come from a single rng draw made before any scoring.
-    Every assembled pair is offered to `tracker` in scoring order.
     """
-    rand_idx = rng.integers(0, len(other_pop), size=len(members)).tolist()
-    best_partner = None if other_pop.fitness is None else other_pop.best
-    own_is_perm = own_species == PERMUTATION
-
-    def assemble(member, partner) -> float:
-        perm, bits = (member, partner) if own_is_perm else (partner, member)
-        score = score_parent_sets(decode_parents(perm, bits), cache)
-        if tracker is not None:
-            tracker.update(perm, bits, score)
-        return score
-
+    rand_idx = rng.integers(0, len(partners), size=len(members)).tolist()
+    elite = None if partner_fitness is None else int(np.argmax(partner_fitness))
     fitness = np.empty(len(members))
     for t, member in enumerate(members):
-        best = -np.inf if best_partner is None else assemble(member, best_partner)
-        fitness[t] = max(best, assemble(member, other_pop.members[rand_idx[t]]))
+        own = -np.inf if elite is None else score(member, partners[elite])
+        fitness[t] = max(own, score(member, partners[rand_idx[t]]))
     return fitness
 
 
-def _mean_fitness(perm_pop: Subpopulation, bin_pop: Subpopulation) -> float:
-    return float(np.concatenate([perm_pop.fitness, bin_pop.fitness]).mean())
-
-
-def _species_generation(pop, other_pop, cache, rng, cfg, p_mb,
-                        tracker) -> Subpopulation:
-    size = len(pop)
-    pool = tournament_select(pop, rng)
+def _generation(members: list, fitness: np.ndarray, partners: list,
+                partner_fitness: np.ndarray, crossover, mutate, score, p_c: float,
+                rng: np.random.Generator) -> tuple[list, np.ndarray]:
+    """One select, vary, evaluate and replace cycle of one species against
+    the other species' current members."""
+    pool = tournament_select(members, fitness, rng)
     offspring = []
-    for t in range(0, size, 2):
+    for t in range(0, len(pool), 2):
         p1, p2 = pool[t], pool[t + 1]
-        if rng.random() < cfg.p_c:
-            if pop.species == PERMUTATION:
-                c1, c2 = cycle_crossover(p1, p2)
-            else:
-                c1, c2 = two_point_crossover(p1, p2, rng)
-        else:
-            c1, c2 = p1, p2  # shared, not copied: members are never written
-        if pop.species == PERMUTATION:
-            c1 = swap_mutation(c1, cfg.p_mp, rng)
-            c2 = swap_mutation(c2, cfg.p_mp, rng)
-        else:
-            c1 = bit_flip_mutation(c1, p_mb, rng)
-            c2 = bit_flip_mutation(c2, p_mb, rng)
-        offspring.extend((c1, c2))
-    fitness = evaluate(offspring, pop.species, other_pop, cache, rng, tracker)
-    return elitist_replace(pop, offspring, fitness)
+        # without crossover the parents are shared, not copied: members are
+        # never written
+        c1, c2 = crossover(p1, p2) if rng.random() < p_c else (p1, p2)
+        offspring.extend((mutate(c1), mutate(c2)))
+    offspring_fitness = evaluate(offspring, partners, partner_fitness, score, rng)
+    return elitist_replace(members, fitness, offspring, offspring_fitness)
 
 
 def evolve(data: Dataset, cfg: GaConfig
@@ -382,35 +312,48 @@ def evolve(data: Dataset, cfg: GaConfig
     """Run the full coevolution loop; return its best pair and its trace.
 
     Deterministic given (data, cfg.seed): evaluation is sequential and
-    draws from the same rng as the operators.
-    """
+    draws from the same rng as the operators. Operators and scorer are read
+    from this module's attributes at call time, so they can be wrapped."""
     cfg.validate()
     if data.n_rows == 0:
         raise EmptyDataError("cannot evolve structures on a dataset with no rows")
     cache = LocalScoreCache(data)
-    n = data.n_cols
-    E = triangular_size(n)
+    E = triangular_size(data.n_cols)
     p_mb = cfg.p_mb if cfg.p_mb is not None else (1.0 / E if E else 0.0)
     rng = np.random.default_rng(cfg.seed)
-    size = cfg.population_size
+    best = None         # the strictly best pair scored so far, in scoring order
+    evaluations = 0     # pairs scored since the last trace record
 
-    perm_pop = init_permutation_pop(n, size, rng)
-    bin_pop = init_binary_pop(n, size, rng)
-    tracker = _BestTracker()
+    def score_pair(perm, bits) -> float:
+        nonlocal best, evaluations
+        evaluations += 1
+        score = score_parent_sets(decode_parents(perm, bits), cache)
+        if best is None or score > best.log_score:
+            best = BestSolution(perm, bits, score)
+        return score
+
+    def score_bits(bits, perm) -> float:
+        return score_pair(perm, bits)
+
+    swap = partial(swap_mutation, p_mp=cfg.p_mp, rng=rng)
+    two_point = partial(two_point_crossover, rng=rng)
+    flip = partial(bit_flip_mutation, p_mb=p_mb, rng=rng)
     trace = ConvergenceTrace()
+    perm_pop = init_permutation_pop(data.n_cols, cfg.population_size, rng)
+    bit_pop = init_binary_pop(data.n_cols, cfg.population_size, rng)
+    # Both species are scored before either has fitness, so generation 0
+    # pairs every member with a random partner only.
+    perm_fit = evaluate(perm_pop, bit_pop, None, score_pair, rng)
+    bit_fit = evaluate(bit_pop, perm_pop, None, score_bits, rng)
+    for gen in range(cfg.generations + 1):
+        if gen > 0:
+            perm_pop, perm_fit = _generation(perm_pop, perm_fit, bit_pop, bit_fit,
+                                             cycle_crossover, swap, score_pair,
+                                             cfg.p_c, rng)
+            bit_pop, bit_fit = _generation(bit_pop, bit_fit, perm_pop, perm_fit,
+                                           two_point, flip, score_bits, cfg.p_c, rng)
+        mean = float(np.concatenate([perm_fit, bit_fit]).mean())
+        trace.append(TraceRecord(gen, best.log_score, mean, evaluations))
+        evaluations = 0
 
-    # Both species are scored before either records fitness, so generation
-    # 0 pairs every member with a random partner only.
-    perm_fitness = evaluate(perm_pop.members, PERMUTATION, bin_pop, cache, rng,
-                            tracker)
-    bin_fitness = evaluate(bin_pop.members, BINARY, perm_pop, cache, rng, tracker)
-    perm_pop.fitness, bin_pop.fitness = perm_fitness, bin_fitness
-    trace.append(tracker.record(0, _mean_fitness(perm_pop, bin_pop)))
-    for gen in range(1, cfg.generations + 1):
-        perm_pop = _species_generation(perm_pop, bin_pop, cache, rng, cfg, p_mb,
-                                       tracker)
-        bin_pop = _species_generation(bin_pop, perm_pop, cache, rng, cfg, p_mb,
-                                      tracker)
-        trace.append(tracker.record(gen, _mean_fitness(perm_pop, bin_pop)))
-
-    return EvolutionState(tracker.best), trace
+    return EvolutionState(best), trace

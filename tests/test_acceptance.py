@@ -31,7 +31,6 @@ from coevobn import (
     ExperimentConfig,
     GaConfig,
     K2Config,
-    Subpopulation,
     ancestral_sample,
     bde_log_score,
     bit_flip_mutation,
@@ -51,7 +50,6 @@ from coevobn import (
     triangular_size,
     two_point_crossover,
 )
-from coevobn.evolution import PERMUTATION
 from helpers import chain4, dataset, random_instance
 
 
@@ -193,10 +191,9 @@ def test_criterion_8_operator_properties():
     rng = np.random.default_rng(88)
 
     # tournament: best appears exactly twice, worst never
-    pop = Subpopulation(PERMUTATION, ["a", "b", "c", "d"],
-                        np.array([5.0, 3.0, 8.0, 1.0]))
+    members, fitness = ["a", "b", "c", "d"], np.array([5.0, 3.0, 8.0, 1.0])
     for seed in range(10):
-        pool = tournament_select(pop, np.random.default_rng(seed))
+        pool = tournament_select(members, fitness, np.random.default_rng(seed))
         assert pool.count("c") == 2 and pool.count("d") == 0
 
     # crossover position membership and closure
@@ -230,12 +227,12 @@ def test_criterion_8_operator_properties():
         assert sorted(out) == list(range(n))
 
     # elitist replacement: size preserved, previous best kept
-    prev = Subpopulation(PERMUTATION, ["e1", "e2", "e3", "e4"],
-                         np.array([-4.0, -2.0, -9.0, -5.0]))
+    prev = ["e1", "e2", "e3", "e4"]
     offspring = ["o1", "o2", "o3", "o4"]
-    new = elitist_replace(prev, offspring, [-6.0, -1.0, -8.0, -3.0])
-    assert len(new) == 4
-    assert new.members[0] == "e2" and "o3" not in new.members
+    members, fitness = elitist_replace(prev, np.array([-4.0, -2.0, -9.0, -5.0]),
+                                       offspring, [-6.0, -1.0, -8.0, -3.0])
+    assert len(members) == len(fitness) == 4
+    assert members[0] == "e2" and "o3" not in members
 
     print(f"\ncriterion 8: PASS operator properties hold "
           f"(mean flips {flips.mean():.3f})")

@@ -337,3 +337,9 @@ class TestDatasetIO:
     def test_direct_construction_bounds_check(self):
         with pytest.raises(ValidationError, match="outside"):
             dataset([2, 2], [[0, 3]])
+
+    @pytest.mark.parametrize("value", [10**20, -10**20])
+    def test_cell_beyond_int64_names_column_and_value(self, value):
+        with pytest.raises(ValidationError,
+                           match=f"column 'X2' contains value {value}, outside"):
+            dataset([2, 2], [[0, 1], [1, value]])

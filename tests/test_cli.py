@@ -188,10 +188,50 @@ class TestPipeline:
         assert code == 0
         assert out == scores.read_text()
 
+    @pytest.mark.parametrize("cell", ["99999999999999999999", "-99999999999999999999"])
+    def test_data_cell_beyond_int64_is_usage_error(self, capsys, tmp_path, cell):
+        data = tmp_path / "data.csv"
+        data.write_text(f"a:2,b:2\n0,1\n{cell},0\n")
+        code, _, err = run(capsys, "learn-k2", "--data", str(data))
+        assert code == 2
+        assert f"column 'a' contains value {cell}, outside" in err
+
     def test_enumerate_requires_data(self, capsys):
         code, _, err = run(capsys, "enumerate")
         assert code == 2
         assert "--data" in err
+
+    def test_without_out_file_the_text_goes_to_stdout(self, capsys, tmp_path):
+        net = tmp_path / "net.json"
+        data = tmp_path / "data.csv"
+        run(capsys, "random-net", "--nodes", "3", "--seed", "1",
+            "--out-file", str(net))
+        run(capsys, "sample", "--net", str(net), "--rows", "4", "--seed", "2",
+            "--out-file", str(data))
+        code, out, _ = run(capsys, "random-net", "--nodes", "3", "--seed", "1")
+        assert code == 0
+        assert out == net.read_text()
+        assert json.loads(out)["variables"][0] == {"name": "X1", "arity": 2}
+        code, out, _ = run(capsys, "sample", "--net", str(net), "--rows", "4",
+                           "--seed", "2")
+        assert code == 0
+        assert out == data.read_bytes().decode()
+        assert out.split("\r\n")[0] == "X1:2,X2:2,X3:2" and out.count("\r\n") == 5
+
+    def test_appending_stdout_keeps_the_file(self, tmp_path):
+        net = tmp_path / "net.json"
+        cli_main(["random-net", "--nodes", "3", "--seed", "1",
+                  "--out-file", str(net)])
+        for argv in (["random-net", "--nodes", "3"],
+                     ["sample", "--net", str(net), "--rows", "2"]):
+            log = tmp_path / "log"
+            log.write_text("first line\n")
+            with open(log, "a") as f:
+                proc = subprocess.run([sys.executable, "-m", "coevobn.cli", *argv],
+                                      env=capped_env(), stdout=f, timeout=120)
+            assert proc.returncode == 0
+            lines = log.read_text().splitlines()
+            assert lines[0] == "first line" and len(lines) > 2
 
 
 class TestDenseStructures:

@@ -75,7 +75,7 @@ class TestGenomes:
         never writes to a parent."""
         rng = np.random.default_rng(5)
         n = 6
-        members = init_binary_pop(n, 8, rng).members
+        members = init_binary_pop(n, 8, rng)
         assert all(not m.flags.writeable for m in members)
         a, b = members[0], members[1]
         before = a.copy(), b.copy()

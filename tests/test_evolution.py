@@ -6,7 +6,6 @@ import pytest
 from coevobn import (
     EngineError,
     GaConfig,
-    Subpopulation,
     ValidationError,
     ancestral_sample,
     bit_flip_mutation,
@@ -23,9 +22,9 @@ from coevobn import (
     triangular_size,
     two_point_crossover,
 )
-from coevobn.evolution import BINARY, PERMUTATION
-from coevobn.scoring import LocalScoreCache, bde_log_score
-from coevobn.encoding import decode
+from coevobn import evolution
+from coevobn.scoring import LocalScoreCache, bde_log_score, score_parent_sets
+from coevobn.encoding import decode, decode_parents
 from helpers import chain3, chain4, dataset
 
 
@@ -36,10 +35,6 @@ def bools(digits):
 
 def random_order(rng, n):
     return tuple(rng.permutation(n).tolist())
-
-
-def subpop_with_fitness(species, members, fitness):
-    return Subpopulation(species, members, np.asarray(fitness, dtype=float))
 
 
 class CutsRng:
@@ -72,27 +67,27 @@ class TestConfig:
 class TestInitialization:
     def test_single_node_permutations(self):
         pop = init_permutation_pop(1, 6, np.random.default_rng(0))
-        assert all(m == (0,) for m in pop.members)
+        assert all(m == (0,) for m in pop)
 
     def test_permutation_invariant_holds(self):
         pop = init_permutation_pop(7, 30, np.random.default_rng(1))
-        for m in pop.members:
+        for m in pop:
             assert sorted(m) == list(range(7))
 
     def test_same_seed_same_population(self):
         a = init_permutation_pop(6, 10, np.random.default_rng(42))
         b = init_permutation_pop(6, 10, np.random.default_rng(42))
-        assert a.members == b.members
+        assert a == b
 
     def test_binary_two_nodes_forced(self):
         pop = init_binary_pop(2, 8, np.random.default_rng(2))
-        assert all(m.tolist() == [True] for m in pop.members)
+        assert all(m.tolist() == [True] for m in pop)
 
     def test_binary_members_are_trees(self):
         n = 4
         pop = init_binary_pop(n, 25, np.random.default_rng(3))
         perm = tuple(range(n))
-        for m in pop.members:
+        for m in pop:
             assert int(m.sum()) == n - 1
             dag = decode((perm, m))
             in_degrees = [len(ps) for ps in dag.parents]
@@ -104,25 +99,20 @@ class TestInitialization:
 class TestTournament:
     def test_best_twice_worst_never(self):
         members = ["a", "b", "c", "d"]
-        pop = subpop_with_fitness(PERMUTATION, members, [5, 3, 8, 1])
-        pool = tournament_select(pop, np.random.default_rng(0))
+        pool = tournament_select(members, np.array([5.0, 3, 8, 1]),
+                                 np.random.default_rng(0))
         assert len(pool) == 4
         assert pool.count("c") == 2
         assert pool.count("d") == 0
 
     def test_equal_fitness_counts(self):
         members = list("abcdef")
-        pop = subpop_with_fitness(PERMUTATION, members, [2.0] * 6)
         for seed in range(10):
-            pool = tournament_select(pop, np.random.default_rng(seed))
+            pool = tournament_select(members, np.full(6, 2.0),
+                                     np.random.default_rng(seed))
             counts = [pool.count(m) for m in members]
             assert sum(counts) == 6
             assert all(c in (0, 1, 2) for c in counts)
-
-    def test_requires_fitness(self):
-        pop = Subpopulation(PERMUTATION, ["a", "b"])
-        with pytest.raises(EngineError):
-            tournament_select(pop, np.random.default_rng(0))
 
 
 class TestTwoPointCrossover:
@@ -239,27 +229,26 @@ class TestMutation:
 
 class TestElitistReplacement:
     def test_worked_example(self):
-        prev = subpop_with_fitness(BINARY, ["e1", "e2", "e3"], [-4, -3, -7])
-        new = elitist_replace(prev, ["o1", "o2", "o3"], [-5, -9, -2])
-        assert sorted(new.fitness.tolist()) == [-5, -3, -2]
-        assert new.members[0] == "e2"  # previous best carried over
-        assert "o2" not in new.members  # worst child dropped
+        members, fitness = elitist_replace(["e1", "e2", "e3"], np.array([-4.0, -3, -7]),
+                                           ["o1", "o2", "o3"], [-5, -9, -2])
+        assert sorted(fitness.tolist()) == [-5, -3, -2]
+        assert members[0] == "e2"  # previous best carried over
+        assert "o2" not in members  # worst child dropped
 
     def test_elite_survives_uniformly_bad_offspring(self):
-        prev = subpop_with_fitness(BINARY, ["best", "other"], [-1, -2])
-        new = elitist_replace(prev, ["bad1", "bad2"], [-10, -11])
-        assert new.members.count("best") == 1
-        assert len(new) == 2
+        members, fitness = elitist_replace(["best", "other"], np.array([-1.0, -2]),
+                                           ["bad1", "bad2"], [-10, -11])
+        assert members.count("best") == 1
+        assert len(members) == len(fitness) == 2
 
     def test_worst_tie_drops_lowest_index(self):
-        prev = subpop_with_fitness(BINARY, ["a", "b"], [-1, -2])
-        new = elitist_replace(prev, ["o1", "o2"], [-5, -5])
-        assert new.members == ["a", "o2"]
+        members, _ = elitist_replace(["a", "b"], np.array([-1.0, -2]),
+                                     ["o1", "o2"], [-5, -5])
+        assert members == ["a", "o2"]
 
     def test_size_mismatch_rejected(self):
-        prev = subpop_with_fitness(BINARY, ["a", "b"], [-1, -2])
         with pytest.raises(EngineError):
-            elitist_replace(prev, ["o1"], [-5])
+            elitist_replace(["a", "b"], np.array([-1.0, -2]), ["o1"], [-5])
 
 
 class TestEvaluate:
@@ -269,11 +258,15 @@ class TestEvaluate:
     def score_pair(self, perm, bits):
         return bde_log_score(self.data, decode((perm, bits)))
 
+    def engine_score(self):
+        """What evolve scores a pair with: the cached local scores."""
+        cache = LocalScoreCache(self.data)
+        return lambda perm, bits: score_parent_sets(decode_parents(perm, bits), cache)
+
     def test_singleton_pool_collapses_to_one_score(self):
         perm = (0, 1, 2)
         bits = bools("101")
-        other = subpop_with_fitness(BINARY, [bits], [-1.0])
-        got = evaluate([perm], PERMUTATION, other, LocalScoreCache(self.data),
+        got = evaluate([perm], [bits], np.array([-1.0]), self.engine_score(),
                        np.random.default_rng(0))
         assert got.tolist() == [pytest.approx(self.score_pair(perm, bits))]
 
@@ -281,21 +274,21 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         members = [rng.random(3) < 0.5 for _ in range(6)]
         perms = [(2, 0, 1), (1, 2, 0)]
-        fitness = [self.score_pair(perms[0], b) for b in members]
-        other = subpop_with_fitness(BINARY, members, fitness)
-        got = evaluate(perms, PERMUTATION, other, LocalScoreCache(self.data),
+        fitness = np.array([self.score_pair(perms[0], b) for b in members])
+        got = evaluate(perms, members, fitness, self.engine_score(),
                        np.random.default_rng(5))
         assert got.shape == (2,)
+        best = members[int(np.argmax(fitness))]
         for perm, score in zip(perms, got):
-            assert score >= self.score_pair(perm, other.best)
+            assert score >= self.score_pair(perm, best)
 
     def test_generation_zero_reproducible(self):
         perms = [(0, 1, 2), (2, 1, 0)]
         members = [bools("100"), bools("011")]
-        other = Subpopulation(BINARY, members)  # no fitness: random partner only
-        a = evaluate(perms, PERMUTATION, other, LocalScoreCache(self.data),
+        # no fitness: random partner only
+        a = evaluate(perms, members, None, self.engine_score(),
                      np.random.default_rng(8))
-        b = evaluate(perms, PERMUTATION, other, LocalScoreCache(self.data),
+        b = evaluate(perms, members, None, self.engine_score(),
                      np.random.default_rng(8))
         assert a.tolist() == b.tolist()
 
@@ -363,6 +356,28 @@ class TestEvolve:
         assert lines[0] == "generation,best_score,mean_score,evaluations"
         assert len(lines) == 4
         assert lines[1].startswith("0,")
+
+    def test_operators_and_scorer_are_read_from_the_module(self, monkeypatch):
+        """A run calls its operators and scorer through the module's
+        attributes, so a wrapper installed there sees every call."""
+        calls = dict.fromkeys(
+            ["tournament_select", "cycle_crossover", "two_point_crossover",
+             "swap_mutation", "bit_flip_mutation", "elitist_replace",
+             "decode_parents", "score_parent_sets"], 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evolution, name,
+                                counting(name, getattr(evolution, name)))
+        _, trace = evolve(self.data, self.small_config(generations=3, p_c=1.0))
+        assert all(count > 0 for count in calls.values()), calls
+        assert calls["decode_parents"] == calls["score_parent_sets"] \
+            == sum(r.evaluations for r in trace.records)
 
 
 # Pinned before the evaluation path was unified; a change here means the same
