@@ -13,7 +13,7 @@ acyclic by construction; no repair or cycle detection is needed.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress
 from typing import Sequence
 
@@ -43,31 +43,47 @@ def combine(perm: Sequence[int], bits) -> tuple:
 
 
 @cache
-def _edge_positions(n: int) -> tuple[tuple[int, int], ...]:
-    """The (s, t) ordering positions of the n(n-1)/2 edge bits, in bit order."""
-    return tuple((s, t) for s in range(n - 1) for t in range(s + 1, n))
+def _layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The (s, t) ordering positions of the n(n-1)/2 edge bits, in bit order,
+    and the one-bit mask 1 << v of every node v."""
+    positions = tuple((s, t) for s in range(n - 1) for t in range(s + 1, n))
+    return positions, tuple(1 << v for v in range(n))
+
+
+@lru_cache(maxsize=1 << 14)
+def _mask_nodes(mask: int) -> tuple[int, ...]:
+    """The node ids of the set bits of `mask`, ascending."""
+    nodes = []
+    while mask:
+        low = mask & -mask
+        nodes.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(nodes)
 
 
 def decode_parents(order: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Parent sets implied by (ordering, bits); sorted tuples, one per node.
 
     `bits` is any sequence of n(n-1)/2 truthy/falsy values; only the set
-    ones are visited.
+    ones are visited. Each set bit ORs its parent's node bit into its
+    child's mask, and each mask becomes its sorted tuple through a memo of
+    bounded size. The node bits are Python ints looked up by node id, so
+    the masks are exact for any n and any integer type of ordering.
     """
     n = len(order)
-    blist = bits.tolist() if isinstance(bits, np.ndarray) else list(bits)
-    positions = _edge_positions(n)
-    if len(blist) != len(positions):
+    positions, node_bit = _layout(n)
+    if isinstance(bits, np.ndarray) and bits.dtype == bool:
+        flags = bits.tobytes()  # one 0/1 byte per bit, cheaper than tolist()
+    else:
+        flags = list(bits)
+    if len(flags) != len(positions):
         raise EncodingError(
-            f"expected {len(positions)} edge bits for n={n}, got {len(blist)}"
+            f"expected {len(positions)} edge bits for n={n}, got {len(flags)}"
         )
-    parents: list[list[int]] = [[] for _ in range(n)]
-    for s, t in compress(positions, blist):
-        parents[order[t]].append(order[s])
-    for ps in parents:
-        if len(ps) > 1:
-            ps.sort()
-    return tuple(map(tuple, parents))
+    masks = [0] * n
+    for s, t in compress(positions, flags):
+        masks[order[t]] |= node_bit[order[s]]
+    return tuple(map(_mask_nodes, masks))
 
 
 def decode(solution) -> Dag:

@@ -146,12 +146,13 @@ def tournament_select(members: list, fitness, rng: np.random.Generator) -> list:
     size = len(members)
     if size % 2 != 0:
         raise EngineError(f"tournament pairing needs an even population, got {size}")
+    fit = np.asarray(fitness).tolist()  # plain floats compare faster
     pool = []
     for _ in range(2):
-        order = rng.permutation(size)
+        order = rng.permutation(size).tolist()
         for t in range(0, size, 2):
-            i, j = int(order[t]), int(order[t + 1])
-            fi, fj = fitness[i], fitness[j]
+            i, j = order[t], order[t + 1]
+            fi, fj = fit[i], fit[j]
             if fi > fj:
                 winner = i
             elif fj > fi:
@@ -173,8 +174,7 @@ def two_point_crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator
         raise EngineError(f"cannot cross bit vectors of lengths {L} and {b.size}")
     if L < 2:
         return a, b
-    c1, c2 = sorted(int(c) for c in rng.choice(np.arange(1, L + 1), size=2,
-                                               replace=False))
+    c1, c2 = sorted(rng.choice(np.arange(1, L + 1), size=2, replace=False).tolist())
     child1 = a.copy()
     child1[c1:c2] = b[c1:c2]
     child2 = b.copy()
@@ -229,7 +229,7 @@ def bit_flip_mutation(g: np.ndarray, p_mb: float,
     if g.size == 0:
         return g
     flips = rng.random(g.size) < p_mb
-    if not flips.any():
+    if not np.count_nonzero(flips):  # cheaper than flips.any()
         return g
     child = np.logical_xor(g, flips)
     child.setflags(write=False)
@@ -245,7 +245,7 @@ def swap_mutation(g: tuple[int, ...], p_mp: float,
         return g
     if rng.random() >= p_mp:
         return g
-    i, j = (int(x) for x in rng.choice(len(g), size=2, replace=False))
+    i, j = rng.choice(len(g), size=2, replace=False).tolist()
     order = list(g)
     order[i], order[j] = order[j], order[i]
     return tuple(order)

@@ -121,8 +121,12 @@ class ExperimentConfig:
         if not isinstance(self.sample_sizes, list) or not self.sample_sizes:
             raise ValidationError(
                 f"sample_sizes must be a non-empty list, got {self.sample_sizes!r}")
-        for size in self.sample_sizes:
+        for k, size in enumerate(self.sample_sizes):
             check_number("sample size", size, integer=True, low=1)
+            if size in self.sample_sizes[:k]:
+                # run seeds derive from (master_seed, size, run): a repeat
+                # would rerun the same runs and overwrite their files
+                raise ValidationError(f"sample_sizes repeats the size {size}")
         self.ga.validate()
         self.k2.validate()
         for name, seed in (("ga.seed", self.ga.seed), ("k2.seed", self.k2.seed)):

@@ -415,6 +415,19 @@ class TestCompare:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("sizes", [[10, 10], [100, 30, 100]])
+    def test_repeated_sample_size_is_usage_error(self, capsys, tmp_path, sizes):
+        """Run seeds derive from (master seed, size, run), so a repeated size
+        would repeat its runs, duplicate their rows and overwrite their
+        files; it is refused before anything is written."""
+        out = tmp_path / "out"
+        cfg = self.write_config(tmp_path, out, sample_sizes=sizes)
+        code, stdout, err = run(capsys, "compare", "--config", str(cfg))
+        assert code == 2
+        assert f"sample_sizes repeats the size {sizes[0]}" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_compare_without_config_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compare")
         assert code == 2

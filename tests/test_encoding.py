@@ -19,7 +19,7 @@ from coevobn import (
     triangular_size,
     two_point_crossover,
 )
-from coevobn.encoding import decode_parents
+from coevobn.encoding import _mask_nodes, decode_parents
 
 
 def random_pair(rng, n):
@@ -149,7 +149,8 @@ def reference_decode(order, bits):
 
 
 class TestDecodeParents:
-    @pytest.mark.parametrize("n", range(1, 13))
+    # masks of more than 62 or 64 node bits must stay exact
+    @pytest.mark.parametrize("n", [*range(1, 14), 31, 64, 65, 100])
     def test_matches_the_cell_by_cell_reference(self, n):
         rng = np.random.default_rng(n)
         for _ in range(25):
@@ -160,6 +161,29 @@ class TestDecodeParents:
             as_list = decode_parents(order, [int(b) for b in bits])
             assert as_array == as_list == expected
             assert all(type(ps) is tuple for ps in as_array)
+
+    @pytest.mark.parametrize("n", [65, 100])
+    def test_numpy_integer_orderings_decode_exactly(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            order = rng.permutation(n)  # int64 node ids above 63
+            bits = rng.random(triangular_size(n)) < 0.3
+            expected = reference_decode(order.tolist(), bits)
+            assert decode((order, bits)).parents == expected
+            assert decode_parents(order, bits) == expected
+            assert decode_parents(tuple(order), bits) == expected
+
+    def test_more_masks_than_the_memo_holds(self):
+        """Decoding stays exact once the mask memo has to drop entries."""
+        limit = _mask_nodes.cache_info().maxsize
+        start = _mask_nodes.cache_info().misses
+        rng = np.random.default_rng(0)
+        n = 40
+        while _mask_nodes.cache_info().misses - start <= limit:
+            order = tuple(rng.permutation(n).tolist())
+            bits = rng.random(triangular_size(n)) < 0.5
+            assert decode_parents(order, bits) == reference_decode(order, bits)
+        assert _mask_nodes.cache_info().currsize == limit
 
     @pytest.mark.parametrize("bits", [[1, 0], [1, 0, 1, 1, 1]])
     def test_wrong_bit_count_names_the_expected_count(self, bits):

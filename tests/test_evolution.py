@@ -424,6 +424,37 @@ generation,best_score,mean_score,evaluations
 20,-1359.949137,-1387.769654,40
 """
 
+# Pinned before decoding moved to parent-node masks.
+GOLDEN_N10 = """\
+generation,best_score,mean_score,evaluations
+0,-8167.982983,-8479.854772,200
+1,-8167.982983,-8361.760829,400
+2,-8162.438257,-8350.005762,400
+3,-8147.637183,-8337.597061,400
+4,-8115.915548,-8326.919281,400
+5,-8115.915548,-8309.679997,400
+6,-8089.370894,-8276.173635,400
+7,-8087.971304,-8302.969106,400
+8,-8080.122911,-8277.771339,400
+9,-8057.347444,-8270.697859,400
+10,-8057.347444,-8254.427371,400
+11,-8057.347444,-8242.516096,400
+12,-8057.347444,-8220.853906,400
+13,-8041.647315,-8205.186745,400
+14,-8041.647315,-8193.705766,400
+15,-8039.729167,-8171.159914,400
+16,-8036.908818,-8159.838073,400
+17,-8036.908818,-8168.078913,400
+18,-8027.774443,-8155.554814,400
+19,-8018.794589,-8155.663585,400
+20,-8012.824757,-8143.523270,400
+21,-8009.783697,-8149.747277,400
+22,-7968.692328,-8132.872593,400
+23,-7968.692328,-8127.257344,400
+24,-7968.692328,-8110.546923,400
+25,-7968.692328,-8104.006664,400
+"""
+
 
 class TestGoldenTrajectory:
     def test_three_node_chain(self):
@@ -442,3 +473,14 @@ class TestGoldenTrajectory:
         best = state.best_so_far
         assert (best.perm, best.bits.tolist()) == \
             ((3, 5, 2, 4, 1, 0), bools("111001000000111").tolist())
+
+    def test_ten_node_headline_network(self):
+        """The headline network and data with a short run, so the decode and
+        operator fast paths are pinned at the paper's shape."""
+        data = ancestral_sample(random_network(10, 3, 14 / 45, seed=6), 1000, seed=6)
+        state, trace = evolve(data, GaConfig(generations=25, seed=1))
+        assert trace.to_csv() == GOLDEN_N10
+        best = state.best_so_far
+        assert (best.perm, best.bits.tolist()) == \
+            ((2, 5, 6, 9, 0, 3, 8, 1, 7, 4),
+             bools("111000001111001011011101101000001001000110000").tolist())
