@@ -14,7 +14,7 @@ import numpy as np
 
 from . import scoring
 from .bayesnet import Dag, Dataset
-from .encoding import decode_parents, triangular_size
+from .encoding import decode_parents, masks_dag, triangular_size
 from .errors import EmptyDataError, ValidationError, check_number
 from .scoring import LocalScoreCache, local_log_score, score_parent_sets, table_log_score
 
@@ -164,15 +164,9 @@ def count_dags(n: int) -> int:
     return _DAG_COUNTS[n]
 
 
-def enumerate_dags(n: int) -> Iterator[Dag]:
-    """Yield every labeled DAG on n nodes exactly once.
-
-    Decodes every (ordering, edge mask) pair with decode_parents, bit b of
-    the mask being edge bit b and masks ascending within each ordering, so
-    every graph is acyclic by construction. Deduplicates by canonical
-    parent sets; the cross-check that the yielded count equals
-    count_dags(n) doubles as a completeness test of the encoding.
-    """
+def _enumerate_masks(n: int) -> Iterator[tuple[int, ...]]:
+    """The parent masks of every labeled DAG on n nodes, once each, in
+    enumeration order (see enumerate_dags)."""
     if n < 1:
         raise ValidationError(f"node count must be >= 1, got {n}")
     if n > ENUMERATION_LIMIT:
@@ -183,21 +177,33 @@ def enumerate_dags(n: int) -> Iterator[Dag]:
         )
     E = triangular_size(n)
     masks = [[(mask >> b) & 1 for b in range(E)] for mask in range(1 << E)]
-    seen: set[tuple[tuple[int, ...], ...]] = set()
+    seen: set[tuple[int, ...]] = set()
     for order in permutations(range(n)):
         for bits in masks:
             key = decode_parents(order, bits)
             if key not in seen:
                 seen.add(key)
-                yield Dag._unchecked(n, key)
+                yield key
+
+
+def enumerate_dags(n: int) -> Iterator[Dag]:
+    """Yield every labeled DAG on n nodes exactly once.
+
+    Decodes every (ordering, edge mask) pair with decode_parents, bit b of
+    the mask being edge bit b and masks ascending within each ordering, so
+    every graph is acyclic by construction. Deduplicates by parent masks;
+    the cross-check that the yielded count equals count_dags(n) doubles as
+    a completeness test of the encoding.
+    """
+    return map(masks_dag, _enumerate_masks(n))
 
 
 def score_all_dags(data: Dataset) -> Iterator[tuple[Dag, float]]:
     """Score every structure on the dataset's variables (small n only),
     memoizing local scores across structures."""
     cache = LocalScoreCache(data)
-    for dag in enumerate_dags(data.n_cols):
-        yield dag, score_parent_sets(dag.parents, cache)
+    for key in _enumerate_masks(data.n_cols):
+        yield masks_dag(key), score_parent_sets(key, cache)
 
 
 def exhaustive_best(data: Dataset) -> tuple[Dag, float]:

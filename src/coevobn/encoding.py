@@ -13,7 +13,7 @@ acyclic by construction; no repair or cycle detection is needed.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from itertools import compress
 from typing import Sequence
 
@@ -50,9 +50,10 @@ def _layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     return positions, tuple(1 << v for v in range(n))
 
 
-@lru_cache(maxsize=1 << 14)
-def _mask_nodes(mask: int) -> tuple[int, ...]:
-    """The node ids of the set bits of `mask`, ascending."""
+def mask_nodes(mask: int) -> tuple[int, ...]:
+    """The node ids of the set bits of `mask`, ascending: the sorted parent
+    tuple of a parent mask. Any integer type works."""
+    mask = int(mask)
     nodes = []
     while mask:
         low = mask & -mask
@@ -61,14 +62,15 @@ def _mask_nodes(mask: int) -> tuple[int, ...]:
     return tuple(nodes)
 
 
-def decode_parents(order: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Parent sets implied by (ordering, bits); sorted tuples, one per node.
+def decode_parents(order: Sequence[int], bits: np.ndarray) -> tuple[int, ...]:
+    """Parent masks implied by (ordering, bits), one int per node: bit p of
+    node v's mask is set when p is a parent of v.
 
     `bits` is any sequence of n(n-1)/2 truthy/falsy values; only the set
-    ones are visited. Each set bit ORs its parent's node bit into its
-    child's mask, and each mask becomes its sorted tuple through a memo of
-    bounded size. The node bits are Python ints looked up by node id, so
-    the masks are exact for any n and any integer type of ordering.
+    ones are visited, each ORing its parent's node bit into its child's
+    mask. The node bits are Python ints looked up by node id, so the masks
+    are exact for any n and any integer type of ordering. mask_nodes turns
+    a mask into its sorted parent tuple.
     """
     n = len(order)
     positions, node_bit = _layout(n)
@@ -83,7 +85,13 @@ def decode_parents(order: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, .
     masks = [0] * n
     for s, t in compress(positions, flags):
         masks[order[t]] |= node_bit[order[s]]
-    return tuple(map(_mask_nodes, masks))
+    return tuple(masks)
+
+
+def masks_dag(masks: Sequence[int]) -> Dag:
+    """The DAG whose node v has the parents in masks[v], unchecked: the
+    masks must come from decode_parents, which makes them acyclic."""
+    return Dag._unchecked(len(masks), tuple(map(mask_nodes, masks)))
 
 
 def decode(solution) -> Dag:
@@ -100,7 +108,7 @@ def decode(solution) -> Dag:
     bits = np.asarray(bits, dtype=bool)
     if bits.ndim != 1:
         raise EncodingError(f"edge bits must be one-dimensional, got shape {bits.shape}")
-    return Dag._unchecked(len(order), decode_parents(order, bits))
+    return masks_dag(decode_parents(order, bits))
 
 
 def encode_dag(dag: Dag) -> tuple[tuple[int, ...], np.ndarray]:

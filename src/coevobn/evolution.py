@@ -163,6 +163,20 @@ def tournament_select(members: list, fitness, rng: np.random.Generator) -> list:
     return pool
 
 
+def two_distinct(L: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Two distinct indices in 0..L-1 (L >= 2), the same draw for draw as
+    rng.choice(L, 2, replace=False) and leaving the same stream behind:
+    numpy's Floyd draw followed by its two-element shuffle, without that
+    call's per-draw array set-up."""
+    i = int(rng.integers(0, L - 1))
+    j = int(rng.integers(0, L))
+    if j == i:
+        j = L - 1
+    if rng.integers(0, 2) == 0:
+        i, j = j, i
+    return i, j
+
+
 def two_point_crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Exchange the middle of the three segments delimited by two distinct
@@ -174,7 +188,7 @@ def two_point_crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator
         raise EngineError(f"cannot cross bit vectors of lengths {L} and {b.size}")
     if L < 2:
         return a, b
-    c1, c2 = sorted(rng.choice(np.arange(1, L + 1), size=2, replace=False).tolist())
+    c1, c2 = sorted(c + 1 for c in two_distinct(L, rng))  # boundaries 1..L
     child1 = a.copy()
     child1[c1:c2] = b[c1:c2]
     child2 = b.copy()
@@ -245,7 +259,7 @@ def swap_mutation(g: tuple[int, ...], p_mp: float,
         return g
     if rng.random() >= p_mp:
         return g
-    i, j = rng.choice(len(g), size=2, replace=False).tolist()
+    i, j = two_distinct(len(g), rng)
     order = list(g)
     order[i], order[j] = order[j], order[i]
     return tuple(order)

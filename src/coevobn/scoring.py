@@ -3,7 +3,8 @@
 The metric is the one the paper shares with its K2 baseline (Cooper &
 Herskovits 1992): BDe with every Dirichlet pseudo-count equal to
 PSEUDO_COUNT = 1. The total score decomposes into one local term per
-(node, parent set); those terms are memoized in a LocalScoreCache.
+(node, parent set); those terms are memoized in a LocalScoreCache, keyed
+on (node, parent mask).
 prequential_log_score computes the same quantity by the chain rule of the
 marginal likelihood, multiplying posterior-predictive probabilities row by
 row; it serves as an independent oracle for the closed form.
@@ -24,6 +25,7 @@ from .bayesnet import (
     parent_config_count,
     parent_config_index,
 )
+from .encoding import mask_nodes
 from .errors import EmptyDataError, SchemaError, ValidationError
 
 
@@ -38,14 +40,17 @@ _LOG_FACTORIALS = np.zeros(2)
 
 
 class LocalScoreCache(dict):
-    """Memo of (node, sorted parent tuple) -> local log-score on one dataset.
-    Not synchronized: share one cache within one thread only.
+    """Memo of (node, parent mask) -> local log-score on one dataset, where
+    bit p of the mask is set when p is a parent of node (as decode_parents
+    gives them; masks are Python ints, exact at any node count). Not
+    synchronized: share one cache within one thread only.
 
-    `cache[node, parents]` computes a missing term with local_log_score and
-    counts it in `misses`: each miss is one count_stats call and one new
-    entry. score_parent_sets counts every term it reads that was already
-    stored in `hits`; `lookups` is their sum. A dict read that finds its
-    key runs no Python code, so the hit path stays C-only.
+    `cache[node, mask]` computes a missing term with local_log_score of the
+    mask's sorted parent tuple and counts it in `misses`: each miss is one
+    count_stats call and one new entry. score_parent_sets counts every term
+    it reads that was already stored in `hits`; `lookups` is their sum. A
+    dict read that finds its key runs no Python code, so the hit path stays
+    C-only and never builds a parent tuple.
     """
 
     def __init__(self, data: Dataset):
@@ -54,9 +59,9 @@ class LocalScoreCache(dict):
         self.hits = 0
         self.misses = 0
 
-    def __missing__(self, key: tuple[int, tuple[int, ...]]) -> float:
-        node, parents = key
-        value = self[key] = local_log_score(self.data, node, parents)
+    def __missing__(self, key: tuple[int, int]) -> float:
+        node, mask = key
+        value = self[key] = local_log_score(self.data, node, mask_nodes(mask))
         self.misses += 1
         return value
 
@@ -127,15 +132,14 @@ def local_log_score(data: Dataset, node: int, parent_set: Sequence[int]) -> floa
     return table_log_score(count_stats(data, node, parent_set), data.n_rows)
 
 
-def score_parent_sets(parent_sets: Sequence[tuple[int, ...]],
-                      cache: LocalScoreCache) -> float:
-    """Sum of the cached local scores of one sorted parent tuple per node,
-    as decode_parents and Dag.parents give them (hot path)."""
+def score_parent_sets(masks: Sequence[int], cache: LocalScoreCache) -> float:
+    """Sum of the cached local scores of one parent mask per node, as
+    decode_parents gives them (hot path)."""
     misses = cache.misses
     total = 0.0
-    for key in enumerate(parent_sets):  # += in node order; sum() would compensate
+    for key in enumerate(masks):  # += in node order; sum() would compensate
         total += cache[key]
-    cache.hits += len(parent_sets) - (cache.misses - misses)
+    cache.hits += len(masks) - (cache.misses - misses)
     return total
 
 

@@ -83,6 +83,16 @@ def dataset(arities, rows):
     return Dataset(variables, rows)
 
 
+def parent_mask(parents):
+    """The cache key of a parent set: bit p set for each parent p."""
+    return sum(1 << int(p) for p in parents)
+
+
+def dag_masks(dag):
+    """One parent mask per node of `dag`, as decode_parents gives them."""
+    return tuple(map(parent_mask, dag.parents))
+
+
 def random_instance(rng, max_nodes=4, max_rows=50):
     """Random dataset (arities 2-3) plus an unrelated random DAG on its nodes."""
     n = int(rng.integers(1, max_nodes + 1))

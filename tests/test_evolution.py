@@ -23,7 +23,13 @@ from coevobn import (
     two_point_crossover,
 )
 from coevobn import evolution
-from coevobn.scoring import LocalScoreCache, bde_log_score, score_parent_sets
+from coevobn.evolution import two_distinct
+from coevobn.scoring import (
+    LocalScoreCache,
+    bde_log_score,
+    prequential_log_score,
+    score_parent_sets,
+)
 from coevobn.encoding import decode, decode_parents
 from helpers import chain3, chain4, dataset
 
@@ -38,15 +44,17 @@ def random_order(rng, n):
 
 
 class CutsRng:
-    """Stands in for a Generator whose `choice` draws the given cut points."""
+    """Stands in for a Generator whose two_distinct draw gives the cut
+    points `cuts` (boundaries 1..L): index cuts[0] - 1 from integers(0,
+    L - 1), then cuts[1] - 1 from integers(0, L), then 1 (keep the order)."""
 
     def __init__(self, cuts):
-        self.cuts = cuts
+        self.draws = [cuts[0] - 1, cuts[1] - 1, 1]
 
-    def choice(self, boundaries, size, replace):
-        assert size == 2 and not replace
-        assert all(c in boundaries for c in self.cuts)
-        return np.array(self.cuts)
+    def integers(self, low, high):
+        value = self.draws.pop(0)
+        assert low <= value < high
+        return value
 
 
 class TestConfig:
@@ -124,9 +132,11 @@ class TestTwoPointCrossover:
     def test_worked_segment_swap(self):
         a = bools("000000")
         b = bools("111111")
-        c1, c2 = two_point_crossover(a, b, CutsRng((4, 2)))
+        rng = CutsRng((4, 2))
+        c1, c2 = two_point_crossover(a, b, rng)
         assert c1.tolist() == bools("001100").tolist()
         assert c2.tolist() == bools("110011").tolist()
+        assert rng.draws == []
 
     def test_children_take_each_position_from_a_parent(self):
         rng = np.random.default_rng(5)
@@ -145,6 +155,18 @@ class TestTwoPointCrossover:
         b = bools("1")
         c1, c2 = two_point_crossover(a, b, np.random.default_rng(1))
         assert c1 is a and c2 is b
+
+
+class TestTwoDistinct:
+    @pytest.mark.parametrize("L", [2, 3, 10, 45, 4950])
+    def test_same_draws_and_stream_as_choice(self, L):
+        ours = np.random.default_rng(L)
+        numpys = np.random.default_rng(L)
+        for _ in range(500):
+            got = two_distinct(L, ours)
+            assert got == tuple(numpys.choice(L, 2, replace=False).tolist())
+            assert all(type(v) is int for v in got)
+            assert ours.random() == numpys.random()
 
 
 class TestCycleCrossover:
@@ -349,6 +371,17 @@ class TestEvolve:
         rescored = bde_log_score(
             self.data, decode((best.perm, best.bits)))
         assert rescored == pytest.approx(best.log_score, rel=1e-12)
+
+    def test_parent_masks_above_int64_score_exactly(self):
+        """At 70 nodes a parent mask can exceed 2**64; the engine's cached
+        score of its best must still equal both uncached scorers."""
+        data = ancestral_sample(random_network(70, 3, 0.05, seed=8), 200, seed=9)
+        state, _ = evolve(data, GaConfig(generations=2, population_size=4, seed=3))
+        best = state.best_so_far
+        dag = decode((best.perm, best.bits))
+        assert any(p >= 64 for ps in dag.parents for p in ps)
+        assert abs(best.log_score - bde_log_score(data, dag)) <= 1e-9
+        assert abs(best.log_score - prequential_log_score(data, dag)) <= 1e-9
 
     def test_trace_csv_format(self):
         _, trace = evolve(self.data, self.small_config(generations=2))

@@ -22,12 +22,15 @@ from coevobn import (
     prequential_log_score,
 )
 from coevobn.bayesnet import parent_config_count, parent_config_index
+from coevobn.encoding import masks_dag
 from coevobn.scoring import score_parent_sets
 from helpers import (
     chain3,
+    dag_masks,
     dataset,
     distinct_parent_rows,
     joint_probability,
+    parent_mask,
     random_instance,
     reference_local_score,
 )
@@ -163,28 +166,40 @@ class TestLocalLogScore:
     def test_cache_returns_identical_value_without_recount(self):
         data = dataset([2, 2], [[0, 1], [1, 0], [1, 1]])
         cache = LocalScoreCache(data)
-        first = score_parent_sets(((), (0,)), cache)
+        first = score_parent_sets((0b0, 0b1), cache)  # node 1's parent is node 0
         assert (cache.lookups, cache.misses, cache.hits) == (2, 2, 0)
-        second = score_parent_sets(((), (0,)), cache)
+        second = score_parent_sets((0b0, 0b1), cache)
         assert (cache.lookups, cache.misses, cache.hits) == (4, 2, 2)
         assert first == second  # bit-identical
 
     def test_direct_read_counts_a_miss_and_no_negative_hits(self):
         data = dataset([2, 2], [[0, 1], [1, 0], [1, 1]])
         cache = LocalScoreCache(data)
-        cache[0, ()]
+        cache[0, 0b0]
         assert (cache.misses, cache.lookups, cache.hits) == (1, 1, 0)
-        score_parent_sets(((), (0,)), cache)
+        score_parent_sets((0b0, 0b1), cache)
         assert (cache.misses, cache.lookups, cache.hits) == (2, 3, 1)
 
     def test_cached_value_matches_fresh_recomputation(self):
         rng = np.random.default_rng(5)
         data, dag = random_instance(rng)
         cache = LocalScoreCache(data)
-        for node in range(data.n_cols):
-            assert cache[node, dag.parents[node]] == \
+        for node, mask in enumerate(dag_masks(dag)):
+            assert cache[node, mask] == \
                 local_log_score(data, node, dag.parents[node])
         assert cache.misses == len(cache) == data.n_cols
+
+    def test_mask_above_int64_reads_its_parent_tuple(self):
+        rng = np.random.default_rng(70)
+        arities = rng.integers(2, 4, size=70)
+        data = dataset(arities, rng.integers(0, arities, size=(100, 70)))
+        cache = LocalScoreCache(data)
+        parents = (3, 64, 69)
+        mask = parent_mask(parents)
+        assert mask > 1 << 64
+        assert cache[5, mask] == local_log_score(data, 5, parents)
+        assert cache[5, mask] == local_log_score(data, 5, parents)  # now a hit
+        assert (cache.misses, len(cache)) == (1, 1)
 
 
 def gammaln_local_score(data, node, parents):
@@ -287,17 +302,17 @@ class TestBdeLogScore:
     def test_cache_transparent_for_whole_graphs(self):
         rng = np.random.default_rng(23)
         data, dag = random_instance(rng)
-        assert score_parent_sets(dag.parents, LocalScoreCache(data)) == \
+        assert score_parent_sets(dag_masks(dag), LocalScoreCache(data)) == \
             bde_log_score(data, dag)
 
 
 def random_families(rng, n, count):
-    """`count` families of sorted parent tuples over n nodes; a node's
-    parents are any subset of the other nodes (acyclicity is not needed)."""
+    """`count` families of parent masks over n nodes; a node's parents are
+    any subset of the other nodes (acyclicity is not needed)."""
     families = []
     for _ in range(count):
         families.append(tuple(
-            tuple(int(p) for p in np.flatnonzero(rng.random(n) < 0.3) if p != node)
+            parent_mask(p for p in np.flatnonzero(rng.random(n) < 0.3) if p != node)
             for node in range(n)))
     return families
 
@@ -323,19 +338,17 @@ class TestScoreParentSetsCache:
 
     def test_cached_totals_equal_uncached_and_counts_are_exact(self, monkeypatch):
         totals, cache, count_calls = self.score_twice(self.families, monkeypatch)
-        uncached = [bde_log_score(self.data, Dag._unchecked(5, fam))
-                    for fam in self.families]
+        uncached = [bde_log_score(self.data, masks_dag(fam)) for fam in self.families]
         assert totals == uncached + uncached  # bit-identical, both passes
-        keys = {(node, ps) for fam in self.families for node, ps in enumerate(fam)}
+        keys = {(node, m) for fam in self.families for node, m in enumerate(fam)}
         assert cache.misses == len(cache) == count_calls == len(keys)
         assert cache.hits + cache.misses == 2 * len(self.families) * 5
 
     def test_any_parent_sequence_scores_and_counts_like_sorted_tuples(
             self, monkeypatch):
-        # sorted tuples of numpy integers hash and compare like Python ints
+        # numpy-integer masks hash and compare like Python-int masks
         baseline = self.score_twice(self.families, monkeypatch)
-        changed = [tuple(tuple(np.int64(p) for p in ps) for ps in fam)
-                   for fam in self.families]
+        changed = [tuple(np.int64(m) for m in fam) for fam in self.families]
         totals, cache, count_calls = self.score_twice(changed, monkeypatch)
         assert totals == baseline[0]
         assert (cache.hits, cache.misses, len(cache), count_calls) == \
