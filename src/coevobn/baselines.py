@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from . import scoring
-from .bayesnet import Dag, Dataset
+from .bayesnet import Dag, Dataset, mixed_radix_index
 from .encoding import decode_parents, masks_dag, triangular_size
 from .errors import EmptyDataError, ValidationError, check_number
 from .scoring import LocalScoreCache, local_log_score, score_parent_sets, table_log_score
@@ -52,9 +52,13 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
     strictly improves it or max_parents is reached. Ties between candidate
     parents go to the one earliest in the ordering.
 
-    A candidate's family is counted by extending the chosen parents' cell
-    index (extension_counts); a family above scoring.DENSE_CELLS cells is
-    scored by local_log_score, as is every node's parentless start.
+    Each step takes count_stats' cell index `full` of the node and its
+    chosen parents from mixed_radix_index, and scores the candidates c in
+    ordering order: a_c full + x_c counts the (full, x_c) pairs with x_c
+    fastest, and moving that axis to c's place among the chosen parents
+    gives count_stats' table cell for cell, so every score is bit-identical
+    to local_log_score's. A family above scoring.DENSE_CELLS cells is scored
+    by local_log_score, as is every node's parentless start.
     """
     cfg.validate()
     if data.n_rows == 0:
@@ -68,7 +72,7 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
         raise ValidationError(
             f"ordering has {len(cfg.ordering)} entries but dataset has {n} columns"
         )
-    arities = data.arities
+    rows, arities = data.rows, data.arities
     parent_sets: list[tuple[int, ...]] = [()] * n
     local_scores = [0.0] * n
     for pos, node in enumerate(order):
@@ -76,24 +80,25 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
         cells = arities[node]    # q * r of node given chosen
         current = local_log_score(data, node, ())
         while len(chosen) < cfg.max_parents:
-            candidates = [c for c in order[:pos] if c not in chosen]
-            scores = {}
-            dense = []
-            for cand in candidates:
-                if cells * arities[cand] > scoring.DENSE_CELLS:
-                    scores[cand] = local_log_score(
-                        data, node, tuple(sorted(chosen + [cand])))
+            if 2 * cells <= scoring.DENSE_CELLS:   # else no candidate is dense
+                full, strides = mixed_radix_index(rows, [node, *chosen], arities)
+            scaled = {}          # a_c -> a_c full, once per candidate arity
+            best_score, best_cand = current, None
+            for cand in order[:pos]:
+                if cand in chosen:
+                    continue
+                a = arities[cand]
+                if cells * a > scoring.DENSE_CELLS:
+                    score = local_log_score(data, node, chosen + [cand])
                 else:
-                    dense.append(cand)
-            for cand, counts in extension_counts(data, node, chosen, dense):
-                scores[cand] = table_log_score(counts, data.n_rows)
-                del counts   # not kept alive while the next table is counted
-            best_score = current
-            best_cand = None
-            for cand in candidates:
-                if scores[cand] > best_score:  # strict: first best wins ties
-                    best_score = scores[cand]
-                    best_cand = cand
+                    if a not in scaled:
+                        scaled[a] = full * a
+                    score = table_log_score(
+                        np.bincount(scaled[a] + rows[:, cand], minlength=cells * a)
+                        .reshape(-1, strides[1 + bisect_left(chosen, cand)], a)
+                        .swapaxes(1, 2).reshape(-1, arities[node]), data.n_rows)
+                if score > best_score:  # strict: first best wins ties
+                    best_score, best_cand = score, cand
             if best_cand is None:
                 break
             insort(chosen, best_cand)
@@ -107,43 +112,6 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
     for value in local_scores:
         total += value
     return Dag(n, parent_sets), total
-
-
-def extension_counts(data: Dataset, node: int, chosen: list[int],
-                     candidates: list[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (c, count_stats' table of node given chosen + [c]) for every
-    candidate c, without recounting the chosen parents.
-
-    `chosen` is sorted, and every family must fit in scoring.DENSE_CELLS
-    cells. count_stats' index of node given the chosen parents is
-    full = x_node + sum over i of S_i x_(p_i), where S_i is r times the
-    arities of the chosen parents below p_i. The index a_c full + x_c counts
-    the (full, x_c) pairs with x_c as the fastest axis; moving that axis up
-    to c's place after the first k chosen parents (stride S_k) gives
-    count_stats' table cell for cell, so every score computed from it is
-    bit-identical. Candidates are taken grouped by arity, and one array
-    holds full and then each a_c full in turn, so a step keeps a fixed
-    number of row-length arrays whatever the number of chosen parents.
-    """
-    if not candidates:
-        return
-    rows, arities = data.rows, data.arities
-    base = rows[:, node].copy()   # full, then a_c full for the current arity
-    strides = [arities[node]]     # strides[k] = S_k; strides[-1] = all cells
-    for p in chosen:
-        base += rows[:, p] * strides[-1]
-        strides.append(strides[-1] * arities[p])
-    arity = 1
-    for a, cand in sorted((arities[c], c) for c in candidates):
-        if a != arity:
-            if arity > 1:
-                base //= arity    # exactly full again
-            base *= a
-            arity = a
-        # one chained expression, so that no table outlives the yield here
-        yield cand, (np.bincount(base + rows[:, cand], minlength=strides[-1] * a)
-                     .reshape(-1, strides[bisect_left(chosen, cand)], a)
-                     .swapaxes(1, 2).reshape(-1, strides[0]))
 
 
 _DAG_COUNTS: list[int] = [1]   # _DAG_COUNTS[m] = count_dags(m), m = 0, 1, ...

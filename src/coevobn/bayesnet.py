@@ -148,17 +148,17 @@ def parent_config_index(values: Sequence[int], parents: Sequence[int],
     return idx
 
 
-def parent_config_indices(rows: np.ndarray, parents: Sequence[int],
-                          arities: Sequence[int]) -> np.ndarray:
-    """Vectorized parent_config_index over a (m, n) value matrix."""
-    if not parents:
-        return np.zeros(rows.shape[0], dtype=np.int64)
-    strides = np.empty(len(parents), dtype=np.int64)
-    stride = 1
-    for k, p in enumerate(parents):
-        strides[k] = stride
-        stride *= int(arities[p])
-    return rows[:, list(parents)] @ strides
+def mixed_radix_index(rows: np.ndarray, columns: Sequence[int],
+                      arities: Sequence[int]) -> tuple[np.ndarray | int, list[int]]:
+    """The mixed-radix index sum over i of S_i x_(c_i) of every row of a
+    (m, n) value matrix over the given columns, the first fastest, and the
+    strides [S_0 = 1, S_1, ..., S_k]: S_i is the product of the arities of
+    the columns before c_i. The index is 0 when there are no columns."""
+    flat, strides = 0, [1]
+    for k, c in enumerate(columns):
+        flat = rows[:, c] if k == 0 else flat + rows[:, c] * strides[-1]
+        strides.append(strides[-1] * int(arities[c]))
+    return flat, strides
 
 
 class BayesianNetwork:
@@ -289,7 +289,8 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
             cdf[:, -1] = 1.0  # guard against ROW_SUM_TOL normalization slack
             for start in range(0, count, SAMPLE_BLOCK):
                 block = values[start:start + SAMPLE_BLOCK]
-                rows = parent_config_indices(block, net.dag.parents[i], arities)
+                # 0 for a parentless node: every row reads CPT row 0
+                rows = mixed_radix_index(block, net.dag.parents[i], arities)[0]
                 u = rng.random(block.shape[0])
                 block[:, i] = (u[:, None] >= cdf[rows]).sum(axis=1)
         return Dataset._adopt(net.variables, values)

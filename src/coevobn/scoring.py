@@ -13,6 +13,7 @@ row; it serves as an independent oracle for the closed form.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ from .bayesnet import (
     BayesianNetwork,
     Dag,
     Dataset,
+    mixed_radix_index,
     parent_config_count,
     parent_config_index,
 )
@@ -47,7 +49,8 @@ class LocalScoreCache(dict):
 
     `cache[node, mask]` computes a missing term with local_log_score of the
     mask's sorted parent tuple and counts it in `misses`: each miss is one
-    count_stats call and one new entry. score_parent_sets counts every term
+    new entry, and one count_stats call when the family's table fits in
+    DENSE_CELLS cells (see local_log_score). score_parent_sets counts every term
     it reads that was already stored in `hits`; `lookups` is their sum. A
     dict read that finds its key runs no Python code, so the hit path stays
     C-only and never builds a parent tuple.
@@ -70,11 +73,10 @@ class LocalScoreCache(dict):
         return self.hits + self.misses
 
 
-def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarray:
-    """Tally every row into its (parent configuration, child value) cell:
-    the dense (q, r) array of counts when q * r <= DENSE_CELLS, else one
-    row per parent configuration that occurs in the data, in lexicographic
-    order. The all-zero rows it leaves out add exactly 0 to BDe."""
+def _family(data: Dataset, node: int,
+            parent_set: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The sorted parents of a valid family on a non-empty dataset, and the
+    cells q * r of its count table."""
     n = data.n_cols
     if not 0 <= node < n:
         raise ValidationError(f"node index {node} outside 0..{n - 1}")
@@ -88,19 +90,18 @@ def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarr
         raise EmptyDataError(
             "dataset has no rows; scores over an empty dataset do not rank structures"
         )
-    rows = data.rows
-    arities = data.arities
-    r = arities[node]
-    if parent_config_count(parent_set, arities) * r > DENSE_CELLS:
-        seen, j = np.unique(rows[:, list(parent_set)], axis=0, return_inverse=True)
-        flat = j.reshape(-1) * r + rows[:, node]
-        return np.bincount(flat, minlength=len(seen) * r).reshape(-1, r)
-    flat = rows[:, node]  # becomes j * r + x, one contiguous column per parent
-    size = r
-    for p in parent_set:
-        flat = flat + rows[:, p] * size
-        size *= arities[p]
-    return np.bincount(flat, minlength=size).reshape(size // r, r)
+    return parent_set, parent_config_count(parent_set, data.arities) * data.arities[node]
+
+
+def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarray:
+    """The dense (q, r) array of counts of every (parent configuration,
+    child value) cell. A table above DENSE_CELLS cells is refused."""
+    parent_set, cells = _family(data, node, parent_set)
+    if cells > DENSE_CELLS:
+        raise ValidationError(f"node {node} ({data.variables[node].name}) needs a "
+                              f"table of {cells} cells, above DENSE_CELLS = {DENSE_CELLS}")
+    flat = mixed_radix_index(data.rows, (node, *parent_set), data.arities)[0]
+    return np.bincount(flat, minlength=cells).reshape(-1, data.arities[node])
 
 
 def _log_factorials(size: int) -> np.ndarray:
@@ -116,20 +117,33 @@ def _log_factorials(size: int) -> np.ndarray:
     return _LOG_FACTORIALS
 
 
+def _bde(n_j: np.ndarray, n_jk: np.ndarray, r: int, n_rows: int) -> float:
+    """BDe local score in Cooper & Herskovits' form from the rows N_j of
+    each parent configuration j and N_jk of each cell: the sum over j of
+    log((r-1)!) - log((N_j + r - 1)!), plus the sum of log(N_jk!). An
+    empty configuration or cell adds exactly 0, so either may be left out."""
+    lf = _log_factorials(n_rows + r)
+    return float((lf[r - 1] - lf.take(n_j + (r - 1))).sum() + lf.take(n_jk).sum())
+
+
 def table_log_score(counts: np.ndarray, n_rows: int) -> float:
     """BDe local score of one (parent configuration, child value) table of
-    counts over n_rows rows, in Cooper & Herskovits' form: the sum over
-    parent configurations j of log((r-1)!) - log((N_j + r - 1)!) + sum
-    over values k of log(N_jk!)."""
-    r = counts.shape[1]
-    lf = _log_factorials(n_rows + r)
-    return float((lf[r - 1] - lf.take(counts.sum(axis=1) + (r - 1))).sum()
-                 + lf.take(counts).sum())
+    counts over n_rows rows."""
+    return _bde(counts.sum(axis=1), counts, counts.shape[1], n_rows)
 
 
 def local_log_score(data: Dataset, node: int, parent_set: Sequence[int]) -> float:
-    """Log marginal likelihood contribution of one node given its parents."""
-    return table_log_score(count_stats(data, node, parent_set), data.n_rows)
+    """Log marginal likelihood contribution of one node given its parents:
+    from count_stats' table within DENSE_CELLS cells, else from the observed
+    (configuration, value) pairs, so memory grows with the rows at any arity."""
+    parent_set, cells = _family(data, node, parent_set)
+    if cells <= DENSE_CELLS:
+        return table_log_score(count_stats(data, node, parent_set), data.n_rows)
+    r = data.arities[node]
+    j = np.unique(data.rows[:, list(parent_set)], axis=0,
+                  return_inverse=True)[1].reshape(-1)
+    pairs = np.unique(j * r + data.rows[:, node], return_counts=True)[1]
+    return _bde(np.bincount(j), pairs, r, data.n_rows)
 
 
 def score_parent_sets(masks: Sequence[int], cache: LocalScoreCache) -> float:
@@ -173,18 +187,18 @@ def prequential_log_score(data: Dataset, dag: Dag) -> float:
         )
     arities = data.arities
     a = PSEUDO_COUNT
-    # per node: observed parent configuration index -> child value counts,
-    # so memory grows with the rows, not with the number of configurations
-    counts: list[dict[int, list[int]]] = [{} for _ in range(dag.n)]
+    # per node: rows seen per parent configuration j, and per cell j * r + k
+    # of a configuration and child value; both grow with the rows, at any arity
+    totals = [Counter() for _ in range(dag.n)]
+    cells = [Counter() for _ in range(dag.n)]
     total = 0.0
     for row in data.rows:
         for i in range(dag.n):
             j = parent_config_index(row, dag.parents[i], arities)
-            k = int(row[i])
-            c = counts[i].setdefault(j, [0] * arities[i])
-            predictive = (a + c[k]) / (arities[i] * a + sum(c))
-            total += math.log(predictive)
-            c[k] += 1
+            key = j * arities[i] + int(row[i])
+            total += math.log((a + cells[i][key]) / (arities[i] * a + totals[i][j]))
+            totals[i][j] += 1
+            cells[i][key] += 1
     return total
 
 
@@ -199,10 +213,6 @@ def fit_network(data: Dataset, dag: Dag) -> BayesianNetwork:
     cpts = []
     for i in range(dag.n):
         r = data.arities[i]
-        cells = parent_config_count(dag.parents[i], data.arities) * r
-        if cells > DENSE_CELLS:
-            raise ValidationError(f"node {i} ({data.variables[i].name}) needs a CPT "
-                                  f"of {cells} cells, above DENSE_CELLS = {DENSE_CELLS}")
         counts = count_stats(data, i, dag.parents[i])
         cpts.append((a + counts) / (r * a + counts.sum(axis=1)[:, None]))
     return BayesianNetwork(data.variables, dag, cpts)

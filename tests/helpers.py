@@ -131,10 +131,11 @@ def reference_local_score(data, node, parents):
                for cell in tally.values())
 
 
-def reference_k2(data, order, max_parents):
+def reference_k2(data, order, max_parents, tried=None):
     """K2 as a per-candidate loop: every candidate family is recounted by
     local_log_score. The oracle for k2_learn's index extension; returns the
-    same (Dag, total score)."""
+    same (Dag, total score). When `tried` is a list, every (chosen parents,
+    candidate) pair scored is appended to it."""
     n = data.n_cols
     parent_sets = [()] * n
     local_scores = [0.0] * n
@@ -147,6 +148,8 @@ def reference_k2(data, order, max_parents):
             for cand in order[:pos]:
                 if cand in chosen:
                     continue
+                if tried is not None:
+                    tried.append((tuple(chosen), cand))
                 s = local_log_score(data, node, tuple(sorted(chosen + [cand])))
                 if s > best_score:
                     best_score = s

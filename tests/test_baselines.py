@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coevobn import baselines, scoring
-from coevobn.baselines import COUNT_LIMIT, extension_counts
+from coevobn.baselines import COUNT_LIMIT
 from coevobn import (
     Dag,
     EmptyDataError,
@@ -13,7 +13,6 @@ from coevobn import (
     ancestral_sample,
     bde_log_score,
     count_dags,
-    count_stats,
     enumerate_dags,
     exhaustive_best,
     k2_learn,
@@ -205,24 +204,14 @@ class TestK2IndexExtension:
     def test_matches_the_per_candidate_oracle(self, monkeypatch, dense_cells):
         patched = dense_cells < scoring.DENSE_CELLS
         monkeypatch.setattr(scoring, "DENSE_CELLS", dense_cells)
-        real = baselines.extension_counts
         inserted = set()        # where candidates went relative to the chosen set
         sparse = []
-
-        def spy(data, node, chosen, candidates):
-            for c in candidates:
-                k = sum(p < c for p in chosen)
-                inserted.add("below" if k == 0 and chosen else
-                             "above" if k == len(chosen) else "between")
-            return real(data, node, chosen, candidates)
-
         real_local = baselines.local_log_score
 
         def spy_local(data, node, parents):
             sparse.append(len(parents))
             return real_local(data, node, parents)
 
-        monkeypatch.setattr(baselines, "extension_counts", spy)
         monkeypatch.setattr(baselines, "local_log_score", spy_local)
         rng = np.random.default_rng(21)
         for _ in range(25):
@@ -230,30 +219,66 @@ class TestK2IndexExtension:
             order = [int(v) for v in rng.permutation(data.n_cols)]
             for cap in range(4):
                 dag, score = k2_learn(data, K2Config(ordering=order, max_parents=cap))
-                ref_dag, ref_score = reference_k2(data, order, cap)
+                tried = []
+                ref_dag, ref_score = reference_k2(data, order, cap, tried)
                 assert dag == ref_dag
                 assert score == ref_score
+                for chosen, cand in tried:
+                    k = sum(p < cand for p in chosen)
+                    inserted.add("below" if k == 0 and chosen else
+                                 "above" if k == len(chosen) else "between")
         assert inserted == {"below", "between", "above"}
         # parentless starts only, unless a family crossed DENSE_CELLS
         assert (max(sparse) > 0) == patched
 
-    def test_counts_equal_count_stats_at_every_insertion_point(self):
-        rng = np.random.default_rng(4)
-        positions = set()
-        for _ in range(20):
-            data = random_dataset(rng, max_nodes=9)
-            node, *rest = (int(v) for v in rng.permutation(data.n_cols))
-            for m in range(min(3, len(rest)) + 1):
-                chosen = sorted(rest[:m])
-                candidates = rest[m:]
-                seen = dict(extension_counts(data, node, chosen, candidates))
-                assert sorted(seen) == sorted(candidates)
-                for cand, counts in seen.items():
-                    positions.add((sum(p < cand for p in chosen), m))
-                    expected = count_stats(data, node, chosen + [cand])
-                    assert counts.dtype == expected.dtype
-                    assert np.array_equal(counts, expected)
-        assert positions >= {(k, 3) for k in range(4)}
+
+class TestK2Golden:
+    """DAGs and repr(score) of seeded K2 runs, pinned before K2 was
+    rewritten as one ordered pass over the candidates: the rewrite and any
+    later one must keep them bit for bit."""
+
+    HEADLINE = [
+        (((2, 5, 9), (0, 5, 6, 8), (6,), (6,), (), (2, 4), (), (), (6, 7), (5, 6)),
+         "-7941.285722465849"),
+        (((), (0, 8), (4,), (6,), (), (2, 4), (0, 1, 2, 5, 8), (8,), (), (0, 2, 5)),
+         "-7985.628491508354"),
+        (((), (0, 5, 6, 8), (), (6,), (2, 5), (0, 2, 9), (2,), (), (6, 7), (6,)),
+         "-7906.327399991252"),
+        (((), (0, 6), (6,), (6,), (2,), (0, 2, 4, 9), (9,), (), (6, 7), ()),
+         "-8035.998686380963"),
+        (((1,), (), (), (6,), (2,), (0, 2, 4, 9), (1, 2, 8), (), (1, 7), ()),
+         "-8056.413159402531"),
+    ]
+    WIDE = [
+        (((10, 23), (4, 12, 16, 22, 26), (), (4, 10, 18), (10, 26), (13, 21, 23),
+          (), (4, 10), (), (4,), (2,), (), (0, 10, 23), (6, 21, 23),
+          (3, 4, 10, 18), (5, 13, 21, 23), (4, 11, 26), (4, 25, 29), (6, 11),
+          (11,), (6, 8, 16, 25, 29), (), (10, 11, 21), (11,), (10, 23, 25),
+          (10, 23), (), (6, 11, 13, 17, 20, 23), (), ()),
+         "-102205.13808739341"),
+        (((10, 12, 23), (21,), (1, 16, 24), (), (7, 10, 11, 12, 16), (15, 23),
+          (11, 15, 18, 24), (16,), (1, 16, 20, 25, 29), (4,), (1, 23, 24, 25),
+          (1, 3, 15), (1, 25), (15, 21, 23), (3, 4, 10, 11), (), (), (3, 24),
+          (3, 11, 14), (11,), (1, 16, 25), (), (1, 10, 12, 21), (11, 24, 25),
+          (15, 21, 25), (1, 21), (1, 7, 15, 16, 29), (11, 13, 17, 20, 23), (),
+          ()),
+         "-102611.77529430068"),
+    ]
+
+    @staticmethod
+    def check(data, expected):
+        for seed, (parents, score) in enumerate(expected):
+            dag, got = k2_learn(data, K2Config(seed=seed, max_parents=10))
+            assert dag.parents == parents
+            assert repr(got) == score
+
+    def test_headline_instance(self):
+        net = random_network(10, 3, 14 / 45, seed=6)
+        self.check(ancestral_sample(net, 1000, seed=6), self.HEADLINE)
+
+    def test_thirty_nodes_on_5000_rows(self):
+        net = random_network(30, 3, 0.15, seed=30)
+        self.check(ancestral_sample(net, 5000, seed=30), self.WIDE)
 
 
 class TestExhaustiveBest:

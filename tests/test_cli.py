@@ -8,10 +8,22 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coevobn
-from coevobn import Dag, ancestral_sample, save_dataset, save_structure, scoring
+from coevobn import (
+    Dag,
+    Dataset,
+    Variable,
+    ancestral_sample,
+    bde_log_score,
+    load_structure,
+    prequential_log_score,
+    save_dataset,
+    save_structure,
+    scoring,
+)
 from coevobn.baselines import COUNT_LIMIT, count_dags
 from coevobn.cli import cli_main
 from helpers import chain3, distinct_parent_rows, reference_local_score
@@ -306,6 +318,48 @@ class TestDenseStructures:
         assert "100000000000 rows" in proc.stderr
         assert "4000000000000 bytes" in proc.stderr
         assert not (tmp_path / "data.csv").exists()
+
+
+class TestHugeArity:
+    """A child of arity 4,000,000 with ten binary parents on 3,000 rows. A
+    table over its about 970 observed parent configurations would take
+    about 29 GiB; the commands run in a child capped at 2 GiB."""
+
+    @staticmethod
+    def write_data(tmp_path):
+        rng = np.random.default_rng(40)
+        rows = np.column_stack([rng.integers(0, 4_000_000, size=3000),
+                                rng.integers(0, 2, size=(3000, 10))])
+        data = Dataset([Variable("C", 4_000_000)]
+                       + [Variable(f"P{i}", 2) for i in range(1, 11)], rows)
+        save_dataset(data, tmp_path / "data.csv")
+        return data
+
+    @staticmethod
+    def capped(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "coevobn.cli", *map(str, argv)],
+            env=capped_env(), preexec_fn=cap_address_space, capture_output=True,
+            text=True, timeout=120)
+
+    def test_score_matches_the_prequential_oracle(self, tmp_path):
+        data = self.write_data(tmp_path)
+        dag = Dag(11, [range(1, 11)] + [()] * 10)
+        save_structure(data.variables, dag, tmp_path / "net.json")
+        proc = self.capped("score", "--net", tmp_path / "net.json",
+                           "--data", tmp_path / "data.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == \
+            pytest.approx(prequential_log_score(data, dag), rel=1e-9)
+
+    def test_learn_k2_prints_the_score_of_the_structure_it_wrote(self, tmp_path):
+        data = self.write_data(tmp_path)
+        proc = self.capped("learn-k2", "--data", tmp_path / "data.csv",
+                           "--max-parents", 3, "--out", tmp_path / "k2")
+        assert proc.returncode == 0, proc.stderr
+        best = proc.stdout.splitlines()[0].removeprefix("best_score=")
+        _, dag = load_structure(tmp_path / "k2" / "k2_structure.json")
+        assert best == f"{bde_log_score(data, dag):.6f}"
 
 
 class TestMalformedNetworkFile:

@@ -120,24 +120,22 @@ class TestObservedConfigurationFallback:
         m = 200
         data = distinct_parent_rows(n_parents, m)
         parents = range(1, n_parents + 1)
-        assert 2 ** (n_parents + 1) > scoring.DENSE_CELLS
-        counts = count_stats(data, 0, parents)
-        assert counts.shape == (m, 2)
-        assert counts.sum(axis=1).tolist() == [1] * m
+        cells = 2 ** (n_parents + 1)
+        assert cells > scoring.DENSE_CELLS
+        with pytest.raises(ValidationError, match=f"{cells} cells"):
+            count_stats(data, 0, parents)
         assert local_log_score(data, 0, parents) == \
             pytest.approx(-m * math.log(2), abs=1e-9)
 
-    def test_rows_are_the_observed_rows_of_the_dense_table(self, monkeypatch):
+    def test_observed_pairs_score_like_the_reference(self, monkeypatch):
         monkeypatch.setattr(scoring, "DENSE_CELLS", 0)
         rng = np.random.default_rng(6)
         for _ in range(100):
             data, node, parents = random_family(rng, 8, 5, 60)
             ps = sorted(parents)
-            dense = reference_counts(data, node, ps)
-            seen = {tuple(row[p] for p in ps): row for row in data.rows.tolist()}
-            observed = [parent_config_index(seen[config], ps, data.arities)
-                        for config in sorted(seen)]
-            assert np.array_equal(count_stats(data, node, parents), dense[observed])
+            cells = parent_config_count(ps, data.arities) * data.arities[node]
+            with pytest.raises(ValidationError, match=f"node {node} .*{cells} cells"):
+                count_stats(data, node, parents)
             assert local_log_score(data, node, parents) == \
                 pytest.approx(reference_local_score(data, node, ps), abs=1e-9)
 
@@ -232,12 +230,13 @@ class TestLogFactorialTable:
 
     def test_unobserved_row_adds_exactly_zero(self, monkeypatch):
         # parent value 1 never occurs: the dense table has an all-zero row
-        # that the observed-configuration tally leaves out
+        # that the score from the observed pairs leaves out
         data = dataset([3, 2], [[0, 1], [2, 0], [0, 0], [2, 1], [2, 1], [0, 1]])
         assert count_stats(data, 1, (0,)).shape == (3, 2)
         dense = local_log_score(data, 1, (0,))
         monkeypatch.setattr(scoring, "DENSE_CELLS", 0)
-        assert count_stats(data, 1, (0,)).shape == (2, 2)
+        with pytest.raises(ValidationError, match="6 cells"):
+            count_stats(data, 1, (0,))
         assert local_log_score(data, 1, (0,)) == dense
         assert scoring._log_factorials(2)[:2].tolist() == [0.0, 0.0]
 
