@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -182,7 +183,11 @@ class BayesianNetwork:
         arities = [v.arity for v in variables]
         tables: list[np.ndarray] = []
         for i, var in enumerate(variables):
-            t = np.array(cpts[i], dtype=float)
+            try:
+                t = np.array(cpts[i], dtype=float)
+            except OverflowError:  # an integer beyond every float
+                raise ValidationError(f"CPT for {var.name!r} contains "
+                                      f"probabilities outside [0, 1]") from None
             q = parent_config_count(dag.parents[i], arities)
             if t.shape != (q, var.arity):
                 raise ValidationError(
@@ -220,7 +225,7 @@ class Dataset:
     `rows` is read-only int64, column-major so that every column is
     contiguous; `arities` is the tuple of the variables' arities."""
 
-    __slots__ = ("variables", "rows", "arities")
+    __slots__ = ("variables", "rows", "arities", "_bits")
 
     def __init__(self, variables: Sequence[Variable], rows):
         try:
@@ -258,6 +263,26 @@ class Dataset:
         self.variables = variables
         self.rows = arr
         self.arities = tuple(v.arity for v in variables)
+        self._bits = [None] * len(variables)
+
+    def bits(self, column: int) -> np.ndarray:
+        """The read-only (arity, ceil(m / 64)) uint64 bit table of a column,
+        built on first use: bit i of row v is set when row i holds value v,
+        and the padding bits past the last row are zero. scoring.count_stats
+        asks only for the columns of tables of at most m / ceil(m / 64)
+        cells, so no such table is larger than the int64 column itself."""
+        table = self._bits[column]
+        if table is None:
+            values = self.rows[:, column]
+            table = np.zeros((self.arities[column], -(-len(values) // 64) * 8),
+                             dtype=np.uint8)
+            for v, row in enumerate(table):
+                packed = np.packbits(values == v, bitorder="little")
+                row[:len(packed)] = packed
+            table = table.view("<u8")
+            table.setflags(write=False)
+            self._bits[column] = table
+        return table
 
     @property
     def n_rows(self) -> int:
@@ -282,6 +307,11 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
     check_number("seed", seed, integer=True, low=0)
     rng = np.random.default_rng(seed)
     arities = net.arities
+    too_big = ValidationError(
+        f"out of memory sampling {count} rows of {net.n} values: their "
+        f"int64 table alone asks for {count * net.n * 8} bytes")
+    if count * net.n * 8 > sys.maxsize:  # numpy refuses it with a ValueError
+        raise too_big
     try:
         values = np.zeros((count, net.n), dtype=np.int64, order="F")
         for i in net.dag.topological_order():
@@ -295,9 +325,7 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
                 block[:, i] = (u[:, None] >= cdf[rows]).sum(axis=1)
         return Dataset._adopt(net.variables, values)
     except MemoryError:
-        raise ValidationError(
-            f"out of memory sampling {count} rows of {net.n} values: their "
-            f"int64 table alone asks for {count * net.n * 8} bytes") from None
+        raise too_big from None
 
 
 def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
@@ -341,7 +369,7 @@ def read_json(path) -> dict:
     not valid JSON, or is not an object at top level."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -349,6 +377,8 @@ def read_json(path) -> dict:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise ParseError(f"{path}: cannot decode JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
     return doc
@@ -457,38 +487,43 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file; expected a header row") from None
-        variables = []
-        for k, field in enumerate(header):
-            name, sep, arity = field.partition(":")
-            if not sep or not name:
-                raise ParseError(
-                    f"{path} line 1 field {k + 1}: expected 'name:arity', got {field!r}"
-                )
+    try:
+        with open(path, "r", newline="") as f:
+            reader = csv.reader(f)
             try:
-                variables.append(Variable(name, int(arity)))
-            except ValueError:
-                raise ParseError(
-                    f"{path} line 1 field {k + 1}: arity {arity!r} is not an integer"
-                ) from None
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(variables):
-                raise ParseError(
-                    f"{path} line {lineno}: expected {len(variables)} fields, "
-                    f"got {len(record)}"
-                )
-            try:
-                rows.append([int(cell) for cell in record])
-            except ValueError:
-                raise ParseError(
-                    f"{path} line {lineno}: non-integer cell in {record!r}"
-                ) from None
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file; expected a header row") from None
+            variables = []
+            for k, field in enumerate(header):
+                name, sep, arity = field.partition(":")
+                if not sep or not name:
+                    raise ParseError(
+                        f"{path} line 1 field {k + 1}: expected 'name:arity', got {field!r}"
+                    )
+                try:
+                    variables.append(Variable(name, int(arity)))
+                except ValueError:
+                    raise ParseError(
+                        f"{path} line 1 field {k + 1}: arity {arity!r} is not an integer"
+                    ) from None
+            rows = []
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != len(variables):
+                    raise ParseError(
+                        f"{path} line {lineno}: expected {len(variables)} fields, "
+                        f"got {len(record)}"
+                    )
+                try:
+                    rows.append([int(cell) for cell in record])
+                except ValueError:
+                    raise ParseError(
+                        f"{path} line {lineno}: non-integer cell in {record!r}"
+                    ) from None
+    except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: NUL before 3.11
+        raise ParseError(f"{path}: not a UTF-8 CSV file: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read file: {exc}") from exc
     return Dataset(variables, rows)

@@ -24,7 +24,6 @@ from .bayesnet import (
     Dag,
     Dataset,
     mixed_radix_index,
-    parent_config_count,
     parent_config_index,
 )
 from .encoding import mask_nodes
@@ -77,31 +76,51 @@ def _family(data: Dataset, node: int,
             parent_set: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The sorted parents of a valid family on a non-empty dataset, and the
     cells q * r of its count table."""
-    n = data.n_cols
+    arities = data.arities
+    n = len(arities)
     if not 0 <= node < n:
         raise ValidationError(f"node index {node} outside 0..{n - 1}")
-    parent_set = tuple(sorted(int(p) for p in parent_set))
-    for p in parent_set:
+    parent_set = tuple(sorted(map(int, parent_set)))
+    if parent_set and (parent_set[0] < 0 or parent_set[-1] >= n
+                       or node in parent_set):
+        p = parent_set[0] if parent_set[0] < 0 else parent_set[-1]
         if not 0 <= p < n:
             raise ValidationError(f"parent index {p} outside 0..{n - 1}")
-        if p == node:
-            raise ValidationError(f"node {node} cannot be its own parent")
-    if data.n_rows == 0:
+        raise ValidationError(f"node {node} cannot be its own parent")
+    if not len(data.rows):
         raise EmptyDataError(
             "dataset has no rows; scores over an empty dataset do not rank structures"
         )
-    return parent_set, parent_config_count(parent_set, data.arities) * data.arities[node]
+    cells = arities[node]
+    for p in parent_set:
+        cells *= arities[p]
+    return parent_set, cells
 
 
 def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarray:
-    """The dense (q, r) array of counts of every (parent configuration,
-    child value) cell. A table above DENSE_CELLS cells is refused."""
+    """The dense (q, r) int64 array of counts of every (parent configuration,
+    child value) cell, in mixed_radix_index order: child fastest, then the
+    parents in ascending order. A table above DENSE_CELLS cells is refused.
+
+    A table whose cells times the row bitset's ceil(m / 64) words fit in the
+    m rows is counted from the columns' bit tables (Dataset.bits): the
+    child's table is ANDed with each parent's, one broadcast per parent, and
+    each cell's bits are popcounted. A larger table tallies the rows' mixed
+    radix index with one bincount. Both give the same table."""
     parent_set, cells = _family(data, node, parent_set)
     if cells > DENSE_CELLS:
         raise ValidationError(f"node {node} ({data.variables[node].name}) needs a "
                               f"table of {cells} cells, above DENSE_CELLS = {DENSE_CELLS}")
+    r, m = data.arities[node], data.n_rows
+    words = -(-m // 64)
+    if cells * words <= m:
+        table = data.bits(node)
+        for p in parent_set:  # p's value becomes the slowest axis so far
+            table = (data.bits(p)[:, None] & table).reshape(-1, words)
+        return np.add.reduce(np.bitwise_count(table), axis=1,
+                             dtype=np.int64).reshape(-1, r)
     flat = mixed_radix_index(data.rows, (node, *parent_set), data.arities)[0]
-    return np.bincount(flat, minlength=cells).reshape(-1, data.arities[node])
+    return np.bincount(flat, minlength=cells).reshape(-1, r)
 
 
 def _log_factorials(size: int) -> np.ndarray:
@@ -123,27 +142,44 @@ def _bde(n_j: np.ndarray, n_jk: np.ndarray, r: int, n_rows: int) -> float:
     log((r-1)!) - log((N_j + r - 1)!), plus the sum of log(N_jk!). An
     empty configuration or cell adds exactly 0, so either may be left out."""
     lf = _log_factorials(n_rows + r)
-    return float((lf[r - 1] - lf.take(n_j + (r - 1))).sum() + lf.take(n_jk).sum())
+    # np.add.reduce is what ndarray.sum calls, without its Python wrapper
+    return float(np.add.reduce(lf[r - 1] - lf.take(n_j + (r - 1)), axis=None)
+                 + np.add.reduce(lf.take(n_jk), axis=None))
 
 
 def table_log_score(counts: np.ndarray, n_rows: int) -> float:
     """BDe local score of one (parent configuration, child value) table of
     counts over n_rows rows."""
-    return _bde(counts.sum(axis=1), counts, counts.shape[1], n_rows)
+    return _bde(np.add.reduce(counts, axis=1), counts, counts.shape[1], n_rows)
 
 
 def local_log_score(data: Dataset, node: int, parent_set: Sequence[int]) -> float:
     """Log marginal likelihood contribution of one node given its parents:
     from count_stats' table within DENSE_CELLS cells, else from the observed
-    (configuration, value) pairs, so memory grows with the rows at any arity."""
+    (configuration, value) pairs, so memory grows with the rows at any arity.
+    The observed configurations are numbered in the lexicographic order of
+    their parent values, first parent most significant, from a 1-D mixed
+    radix key that is re-ranked before it could pass 2^62."""
     parent_set, cells = _family(data, node, parent_set)
     if cells <= DENSE_CELLS:
         return table_log_score(count_stats(data, node, parent_set), data.n_rows)
-    r = data.arities[node]
-    j = np.unique(data.rows[:, list(parent_set)], axis=0,
-                  return_inverse=True)[1].reshape(-1)
-    pairs = np.unique(j * r + data.rows[:, node], return_counts=True)[1]
+    rows, arities = data.rows, data.arities
+    key, span = np.zeros(data.n_rows, dtype=np.int64), 1  # 0 <= key < span
+    for p in parent_set:
+        if span * arities[p] > 1 << 62:
+            span, key = _rank(key)
+        key = key * arities[p] + rows[:, p]
+        span *= arities[p]
+    j = _rank(key)[1]
+    r = arities[node]
+    pairs = np.unique(j * r + rows[:, node], return_counts=True)[1]
     return _bde(np.bincount(j), pairs, r, data.n_rows)
+
+
+def _rank(key: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of distinct keys and each key's rank among them."""
+    distinct, rank = np.unique(key, return_inverse=True)
+    return len(distinct), rank.reshape(-1)
 
 
 def score_parent_sets(masks: Sequence[int], cache: LocalScoreCache) -> float:

@@ -1,10 +1,13 @@
 """End-to-end command-line behavior and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import traceback
 from decimal import Decimal
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from coevobn import (
     bde_log_score,
     load_structure,
     prequential_log_score,
+    random_network,
     save_dataset,
     save_structure,
     scoring,
@@ -144,6 +148,12 @@ class TestUsageErrors:
         code, _, err = run(capsys, "score", "--net", "/nonexistent.json",
                            "--data", "/nonexistent.csv")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["learn-k2", "enumerate"])
+    def test_directory_as_data(self, capsys, tmp_path, command):
+        code, _, err = run(capsys, command, "--data", str(tmp_path))
+        assert code == 2
+        assert "cannot read file" in err
 
 
 class TestPipeline:
@@ -378,9 +388,10 @@ class TestMalformedNetworkFile:
         (("cpts", 1, 1), [0.2], "cpts[1]"),
         (("cpts", 1, 1, 0), "0.2", "cpts[1]"),
         (("cpts", 1, 1, 0), float("nan"), "probabilities outside [0, 1]"),
+        (("cpts", 1, 1, 0), 10 ** 400, "probabilities outside [0, 1]"),
     ], ids=["name-null", "arity-string", "arity-float", "arity-bool",
             "parent-string", "parent-float", "cpt-string", "cpt-ragged",
-            "cpt-cell-string", "cpt-nan"])
+            "cpt-cell-string", "cpt-nan", "cpt-beyond-float"])
     def test_sample_exits_2_naming_the_field(self, capsys, tmp_path, path,
                                              value, field):
         doc = json.loads(json.dumps(self.NET))
@@ -528,3 +539,140 @@ class TestCompare:
         assert code == 2
         assert field in err
         assert not (tmp_path / "out" / "runs.csv").exists()
+
+
+# Malformed tokens the fuzz cases draw from: header arities, data cells,
+# JSON arities, parent indices and CPT cells.
+BAD_ARITY_TEXT = ["0", "1", "-1", "2.5", "", "x", "1e3", "0x2", " 3",
+                  str(scoring.DENSE_CELLS + 1), "9" * 30, "9" * 5000]
+BAD_CELL_TEXT = ["-1", "2", "1.5", "", "a", "1e2", "9" * 30, "9" * 5000, "\x00"]
+BAD_JSON_ARITY = [0, 1, -2, 2.5, "2", True, None, 10 ** 30, scoring.DENSE_CELLS + 1]
+BAD_PARENT = [-1, 10 ** 30, 0.5, "0", None, True]
+BAD_PROBABILITY = [-0.1, 1.5, float("nan"), float("inf"), 10 ** 400, "0.5",
+                   None, True, [0.5]]
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _fuzz_csv(rng, arities, rows):
+    """The bytes of a dataset file over `arities` with one malformation, or
+    none in about one case in four."""
+    header = [f"X{i}:{a}" for i, a in enumerate(arities)]
+    body = [[str(v) for v in row] for row in rows.tolist()]
+    if rng.random() < 3 / 4:
+        kind = int(rng.integers(10))
+        col = int(rng.integers(len(header)))
+        if kind == 0:
+            header[col] = header[col].replace(":", "")
+        elif kind == 1:
+            header[col] = ":" + header[col].partition(":")[2]
+        elif kind == 2:
+            header[col] = f"X{col}:{_pick(rng, BAD_ARITY_TEXT)}"
+        elif kind == 3:
+            header[col] = header[0]
+        elif kind == 4:
+            header.append("")
+        elif body and kind == 5:
+            _pick(rng, body)[col] = _pick(rng, BAD_CELL_TEXT)
+        elif body and kind == 6:
+            row = _pick(rng, body)
+            row.pop() if rng.random() < 0.5 else row.append("0")
+        elif kind == 7:
+            body = []
+        elif kind == 8:
+            return b"\xff\xfe" + ",".join(header).encode()
+        else:
+            return b"" if rng.random() < 0.5 else b"X0:2,\x00\n0,\x00\n"
+    lines = [",".join(header)] + [",".join(row) for row in body]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _fuzz_network(rng, net):
+    """The bytes of a network file for `net` with one malformation, or none
+    in about one case in four."""
+    doc = {"variables": [{"name": v.name, "arity": v.arity} for v in net.variables],
+           "parents": [list(ps) for ps in net.dag.parents],
+           "cpts": [t.tolist() for t in net.cpts]}
+    n = len(doc["variables"])
+    if rng.random() < 3 / 4:
+        kind = int(rng.integers(11))
+        i = int(rng.integers(n))
+        if kind == 0:
+            doc["variables"][i]["arity"] = _pick(rng, BAD_JSON_ARITY)
+        elif kind == 1:
+            doc["variables"][i].pop("name" if rng.random() < 0.5 else "arity")
+        elif kind == 2:
+            doc["parents"][i].append(i)  # a self-loop
+        elif kind == 3 and n > 1:
+            doc["parents"][i].append((i + 1) % n)
+            doc["parents"][(i + 1) % n].append(i)  # a two-cycle
+        elif kind == 4:
+            doc["parents"][i].append(_pick(rng, BAD_PARENT))
+        elif kind == 5:
+            doc["parents"].pop()
+        elif kind == 6:
+            doc["cpts"][i][0][0] = _pick(rng, BAD_PROBABILITY)
+        elif kind == 7:
+            doc["cpts"][i].append(doc["cpts"][i][0])  # one row too many
+        elif kind == 8:
+            doc["cpts"] = None
+        elif kind == 9:
+            return json.dumps(_pick(rng, [[doc], {"variables": []}])).encode()
+        else:
+            text = json.dumps(doc).encode()
+            return _pick(rng, [text[:len(text) // 2], b"[" * 100_000,
+                               b'{"variables": 1' + b"0" * 5000 + b"}", b"\xff"])
+    return json.dumps(doc).encode()
+
+
+def fuzz_cli(seed, cases, workdir):
+    """Feed `cases` seeded malformed dataset headers, cells, arities and
+    network files to `score`, `learn-k2` and `sample` through cli_main in
+    this process. Print one JSON object: the exit codes seen and every case
+    that exited other than 0 or 2, or printed a traceback."""
+    rng = np.random.default_rng(seed)
+    work = Path(workdir)
+    exits, failures = {}, []
+    for case in range(cases):
+        n = int(rng.integers(1, 6))
+        net = random_network(n, 3, 0.5, int(rng.integers(1000)))
+        rows = ancestral_sample(net, int(rng.integers(1, 30)), case).rows
+        net_file, data_file = work / f"net{case}.json", work / f"data{case}.csv"
+        net_file.write_bytes(_fuzz_network(rng, net))
+        data_file.write_bytes(_fuzz_csv(rng, net.arities, rows))
+        argv = [str(arg) for arg in [
+            ["score", "--net", net_file, "--data", data_file],
+            ["learn-k2", "--data", data_file, "--max-parents",
+             _pick(rng, ["0", "2", "-1"])],
+            ["sample", "--net", net_file, "--rows",
+             _pick(rng, ["1", "3", "0", "-1", str(10 ** 20)])],
+        ][case % 3]]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+        except Exception:
+            code = None
+            err.write(traceback.format_exc())
+        exits[str(code)] = exits.get(str(code), 0) + 1
+        if code not in (0, 2) or "Traceback" in err.getvalue():
+            failures.append({"argv": argv, "code": code,
+                             "stderr": err.getvalue()[-2000:]})
+    print(json.dumps({"exits": exits, "failures": failures}))
+
+
+class TestFuzz:
+    def test_malformed_inputs_exit_0_or_2_without_a_traceback(self, tmp_path):
+        cases = 300
+        code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+                f"from test_cli import fuzz_cli; fuzz_cli(7, {cases}, {str(tmp_path)!r})")
+        proc = subprocess.run([sys.executable, "-c", code], env=capped_env(),
+                              preexec_fn=cap_address_space, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["failures"] == []
+        assert sum(result["exits"].values()) == cases
+        assert result["exits"]["0"] > 0 and result["exits"]["2"] > 0

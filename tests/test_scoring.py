@@ -1,6 +1,7 @@
 """BDe scoring: counts, closed form, cache behavior, and the sequential oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import gammaln
 from coevobn import scoring
 from coevobn import (
     Dag,
+    Dataset,
     EmptyDataError,
     LocalScoreCache,
     SchemaError,
@@ -18,12 +20,14 @@ from coevobn import (
     count_stats,
     exhaustive_best,
     fit_network,
+    load_dataset,
     local_log_score,
     prequential_log_score,
+    save_dataset,
 )
 from coevobn.bayesnet import parent_config_count, parent_config_index
 from coevobn.encoding import masks_dag
-from coevobn.scoring import score_parent_sets
+from coevobn.scoring import score_parent_sets, table_log_score
 from helpers import (
     chain3,
     dag_masks,
@@ -69,6 +73,18 @@ class TestCountStats:
         with pytest.raises(EmptyDataError):
             count_stats(data, 0, ())
 
+    @pytest.mark.parametrize("node, parents, message", [
+        (1, (3, -1), "parent index -1 outside 0..2"),
+        (1, (5, 0), "parent index 5 outside 0..2"),
+        (1, (2, 1, 0), "node 1 cannot be its own parent"),
+        (3, (0,), "node index 3 outside 0..2"),
+    ], ids=["negative", "too-large", "self-loop-inside", "node"])
+    def test_bad_family_is_named(self, node, parents, message):
+        data = dataset([2, 2, 2], [[0, 1, 0]])
+        for score in (count_stats, local_log_score):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                score(data, node, parents)
+
 
 def reference_counts(data, node, parents):
     """The dense (q, r) tally built row by row with parent_config_index."""
@@ -94,15 +110,41 @@ def random_family(rng, max_nodes, max_parents, max_rows):
     return data, node, parents
 
 
+def word_boundary_families(rng, tmp_path):
+    """(data, node, parents) at row counts around multiples of 64 bits and
+    at 5,000 rows, over seven columns of arities 2-5, with each dataset
+    built by Dataset(...), Dataset._adopt and load_dataset; the families
+    have 0-4 parents, so their tables fall on both sides of count_stats'
+    cells * words <= rows cut."""
+    for m in (1, 63, 64, 65, 127, 128, 129, 5000):
+        arities = [int(a) for a in rng.integers(2, 6, size=7)]
+        rows = rng.integers(0, arities, size=(m, 7))
+        built = dataset(arities, rows)
+        save_dataset(built, tmp_path / f"rows{m}.csv")
+        for data in (built,
+                     Dataset._adopt(built.variables,
+                                    np.array(rows, dtype=np.int64, order="F")),
+                     load_dataset(tmp_path / f"rows{m}.csv")):
+            for k in (0, 1, 1, 2, 2, 3, 4):
+                node, *parents = (int(v) for v in rng.permutation(7)[:k + 1])
+                yield data, node, tuple(parents)
+
+
 class TestCountStatsDifferential:
-    def test_matches_the_per_row_reference(self):
+    def test_matches_the_per_row_reference(self, tmp_path):
         rng = np.random.default_rng(5)
-        for _ in range(300):
-            data, node, parents = random_family(rng, 30, 6, 300)
+        families = [random_family(rng, 30, 6, 300) for _ in range(300)]
+        families += word_boundary_families(rng, tmp_path)
+        bit_side = set()
+        for data, node, parents in families:
             counts = count_stats(data, node, parents)
             expected = reference_counts(data, node, sorted(parents))
             assert counts.dtype == np.int64 and counts.shape == expected.shape
             assert np.array_equal(counts, expected)
+            assert local_log_score(data, node, parents) == \
+                table_log_score(expected, data.n_rows)
+            bit_side.add(counts.size * -(-data.n_rows // 64) <= data.n_rows)
+        assert bit_side == {True, False}
 
     def test_rows_are_stored_column_major_and_read_only(self):
         for data in (dataset([2, 3, 4], [[0, 1, 2], [1, 2, 3]]),
@@ -110,6 +152,17 @@ class TestCountStatsDifferential:
             rows = data.rows
             assert rows.dtype == np.int64 and rows.flags.f_contiguous
             assert not rows.flags.writeable
+
+
+def row_wise_observed_score(data, node, parents):
+    """The observed-pair score with the parent configurations numbered by
+    np.unique over the rows of their values (lexicographic, first parent
+    most significant): the reference for local_log_score's 1-D key."""
+    r = data.arities[node]
+    j = np.unique(data.rows[:, list(parents)], axis=0,
+                  return_inverse=True)[1].reshape(-1)
+    pairs = np.unique(j * r + data.rows[:, node], return_counts=True)[1]
+    return scoring._bde(np.bincount(j), pairs, r, data.n_rows)
 
 
 class TestObservedConfigurationFallback:
@@ -126,6 +179,8 @@ class TestObservedConfigurationFallback:
             count_stats(data, 0, parents)
         assert local_log_score(data, 0, parents) == \
             pytest.approx(-m * math.log(2), abs=1e-9)
+        assert local_log_score(data, 0, parents) == \
+            row_wise_observed_score(data, 0, parents)
 
     def test_observed_pairs_score_like_the_reference(self, monkeypatch):
         monkeypatch.setattr(scoring, "DENSE_CELLS", 0)
@@ -138,6 +193,21 @@ class TestObservedConfigurationFallback:
                 count_stats(data, node, parents)
             assert local_log_score(data, node, parents) == \
                 pytest.approx(reference_local_score(data, node, ps), abs=1e-9)
+            assert local_log_score(data, node, parents) == \
+                row_wise_observed_score(data, node, ps)
+
+    @pytest.mark.parametrize("values", [1 << 14, 3], ids=["spread", "repeated"])
+    def test_key_is_re_ranked_before_it_overflows(self, values):
+        # six parents of arity 2^14 span 2^84 configurations: the key is
+        # re-ranked before the fifth parent
+        rng = np.random.default_rng(8)
+        rows = rng.integers(0, values, size=(3000, 7))
+        rows[:, 0] %= 5
+        rows[:, 1] = (1 << 14) - 1 - rows[:, 1]  # the first parent's high values
+        data = dataset([5] + [1 << 14] * 6, rows)
+        parents = range(1, 7)
+        assert local_log_score(data, 0, parents) == \
+            row_wise_observed_score(data, 0, parents)
 
     def test_prequential_oracle_checks_a_family_above_the_limit(self):
         data = distinct_parent_rows(29, 200)
