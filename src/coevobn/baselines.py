@@ -3,11 +3,12 @@ enumeration for small node counts, and the exact labeled-DAG counter."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb
 from numbers import Integral
+from operator import mul
 from typing import Iterator
 
 import numpy as np
@@ -16,7 +17,13 @@ from . import scoring
 from .bayesnet import Dag, Dataset, mixed_radix_index
 from .encoding import decode_parents, masks_dag, triangular_size
 from .errors import EmptyDataError, ValidationError, check_number
-from .scoring import LocalScoreCache, local_log_score, score_parent_sets, table_log_score
+from .scoring import (
+    LocalScoreCache,
+    local_log_score,
+    score_parent_sets,
+    table_log_score,
+    table_log_scores,
+)
 
 ENUMERATION_LIMIT = 5
 COUNT_LIMIT = 500           # count_dags(500) has 38,602 digits
@@ -52,13 +59,22 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
     strictly improves it or max_parents is reached. Ties between candidate
     parents go to the one earliest in the ordering.
 
-    Each step takes count_stats' cell index `full` of the node and its
-    chosen parents from mixed_radix_index, and scores the candidates c in
-    ordering order: a_c full + x_c counts the (full, x_c) pairs with x_c
-    fastest, and moving that axis to c's place among the chosen parents
-    gives count_stats' table cell for cell, so every score is bit-identical
-    to local_log_score's. A family above scoring.DENSE_CELLS cells is scored
-    by local_log_score, as is every node's parentless start.
+    Each step counts every candidate family by one of count_stats' or
+    local_log_score's routes, chosen from the sizes alone:
+    - a family that passes count_stats' bit rule (cells * ceil(m / 64) <=
+      m) is counted from `table`, the bit table of the node and its chosen
+      parents in count_stats order: the candidates of one arity and one
+      insertion slot among the chosen parents are ANDed with it and
+      popcounted at once, and one transpose moves each candidate's axis to
+      its sorted place;
+    - a larger family within scoring.DENSE_CELLS cells extends the chosen
+      family's mixed_radix_index cell index `full` to a_c full + x_c, one
+      bincount per candidate;
+    - a family above DENSE_CELLS cells is scored by local_log_score, as is
+      every node's parentless start.
+    Every table equals count_stats' cell for cell and is summed in the same
+    order, so every score is bit-identical to local_log_score's. A batch's
+    AND holds at most m words per candidate, no more than the int64 rows.
     """
     cfg.validate()
     if data.n_rows == 0:
@@ -72,38 +88,68 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
         raise ValidationError(
             f"ordering has {len(cfg.ordering)} entries but dataset has {n} columns"
         )
-    rows, arities = data.rows, data.arities
+    rows, arities, m = data.rows, data.arities, data.n_rows
+    words = -(-m // 64)
+    dense = scoring.DENSE_CELLS
+
+    def bit_counted(cells: int) -> bool:  # count_stats' rule
+        return cells * words <= m and cells <= dense
+
     parent_sets: list[tuple[int, ...]] = [()] * n
     local_scores = [0.0] * n
     for pos, node in enumerate(order):
+        r = arities[node]
         chosen: list[int] = []   # kept sorted
-        cells = arities[node]    # q * r of node given chosen
+        cells = r                # q * r of node given chosen
+        strides = [r]            # count_stats stride of a parent at each slot
+        table = data.bits(node) if bit_counted(cells) else None
         current = local_log_score(data, node, ())
         while len(chosen) < cfg.max_parents:
-            if 2 * cells <= scoring.DENSE_CELLS:   # else no candidate is dense
-                full, strides = mixed_radix_index(rows, [node, *chosen], arities)
-            scaled = {}          # a_c -> a_c full, once per candidate arity
-            best_score, best_cand = current, None
-            for cand in order[:pos]:
-                if cand in chosen:
-                    continue
+            cands = [c for c in order[:pos] if c not in chosen]
+            scores = [0.0] * len(cands)
+            groups: dict[tuple[int, int], list[int]] = {}  # (a_c, slot) -> i
+            full = None
+            for i, cand in enumerate(cands):
                 a = arities[cand]
-                if cells * a > scoring.DENSE_CELLS:
-                    score = local_log_score(data, node, chosen + [cand])
+                if cells * a > dense:
+                    scores[i] = local_log_score(data, node, chosen + [cand])
+                elif bit_counted(cells * a):
+                    groups.setdefault((a, bisect_left(chosen, cand)), []).append(i)
                 else:
+                    if full is None:
+                        full = mixed_radix_index(rows, [node, *chosen], arities)[0]
+                        scaled = {}  # a_c -> a_c full, once per candidate arity
                     if a not in scaled:
                         scaled[a] = full * a
-                    score = table_log_score(
+                    scores[i] = table_log_score(
                         np.bincount(scaled[a] + rows[:, cand], minlength=cells * a)
-                        .reshape(-1, strides[1 + bisect_left(chosen, cand)], a)
-                        .swapaxes(1, 2).reshape(-1, arities[node]), data.n_rows)
-                if score > best_score:  # strict: first best wins ties
-                    best_score, best_cand = score, cand
-            if best_cand is None:
+                        .reshape(-1, strides[bisect_left(chosen, cand)], a)
+                        .swapaxes(1, 2).reshape(-1, r), m)
+            for (a, slot), idx in groups.items():
+                k = len(idx)
+                both = np.concatenate([data.bits(cands[i]) for i in idx]).reshape(
+                    k, a, 1, words) & table
+                counts = np.add.reduce(np.bitwise_count(both), axis=-1, dtype=np.int64)
+                counts = counts.reshape(k, a, -1, strides[slot]).transpose(0, 2, 1, 3)
+                for i, score in zip(idx, table_log_scores(
+                        counts.reshape(k, -1, r), m).tolist()):
+                    scores[i] = score
+            # max keeps the first of equal scores: ties go to the earliest
+            best = max(range(len(cands)), key=scores.__getitem__, default=None)
+            if best is None or not scores[best] > current:
                 break
-            insort(chosen, best_cand)
-            cells *= arities[best_cand]
-            current = best_score
+            cand = cands[best]
+            a = arities[cand]
+            slot = bisect_left(chosen, cand)
+            if bit_counted(cells * a):  # cand's axis goes to its sorted place
+                table = (data.bits(cand)[:, None] & table).reshape(
+                    a, -1, strides[slot], words).transpose(1, 0, 2, 3).reshape(-1, words)
+            else:
+                table = None
+            chosen.insert(slot, cand)
+            strides = list(accumulate((arities[p] for p in chosen), mul, initial=r))
+            cells *= a
+            current = scores[best]
         parent_sets[node] = tuple(chosen)
         local_scores[node] = current
     # added one by one in node order, as bde_log_score does, so the total

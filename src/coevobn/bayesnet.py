@@ -269,8 +269,9 @@ class Dataset:
         """The read-only (arity, ceil(m / 64)) uint64 bit table of a column,
         built on first use: bit i of row v is set when row i holds value v,
         and the padding bits past the last row are zero. scoring.count_stats
-        asks only for the columns of tables of at most m / ceil(m / 64)
-        cells, so no such table is larger than the int64 column itself."""
+        and baselines.k2_learn ask only for the columns of tables of at most
+        m / ceil(m / 64) cells, so no such table is larger than the int64
+        column itself."""
         table = self._bits[column]
         if table is None:
             values = self.rows[:, column]

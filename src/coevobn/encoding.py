@@ -52,8 +52,11 @@ def _layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
 
 def mask_nodes(mask: int) -> tuple[int, ...]:
     """The node ids of the set bits of `mask`, ascending: the sorted parent
-    tuple of a parent mask. Any integer type works."""
+    tuple of a parent mask. Any integer type works; a negative mask has
+    infinitely many set bits and raises EncodingError."""
     mask = int(mask)
+    if mask < 0:
+        raise EncodingError(f"a parent mask must be >= 0, got {mask}")
     nodes = []
     while mask:
         low = mask & -mask

@@ -136,21 +136,30 @@ def _log_factorials(size: int) -> np.ndarray:
     return _LOG_FACTORIALS
 
 
-def _bde(n_j: np.ndarray, n_jk: np.ndarray, r: int, n_rows: int) -> float:
+def _bde(n_j: np.ndarray, n_jk: np.ndarray, r: int, n_rows: int) -> np.ndarray:
     """BDe local score in Cooper & Herskovits' form from the rows N_j of
-    each parent configuration j and N_jk of each cell: the sum over j of
-    log((r-1)!) - log((N_j + r - 1)!), plus the sum of log(N_jk!). An
-    empty configuration or cell adds exactly 0, so either may be left out."""
+    each parent configuration j and N_jk of each cell, both along the last
+    axis: the sum over j of log((r-1)!) - log((N_j + r - 1)!), plus the sum
+    of log(N_jk!). An empty configuration or cell adds exactly 0, so either
+    may be left out. A stack of families gives one score each; every row is
+    summed as the same 1-D array alone would be."""
     lf = _log_factorials(n_rows + r)
     # np.add.reduce is what ndarray.sum calls, without its Python wrapper
-    return float(np.add.reduce(lf[r - 1] - lf.take(n_j + (r - 1)), axis=None)
-                 + np.add.reduce(lf.take(n_jk), axis=None))
+    return (np.add.reduce(lf[r - 1] - lf.take(n_j + (r - 1)), axis=-1)
+            + np.add.reduce(lf.take(n_jk), axis=-1))
 
 
 def table_log_score(counts: np.ndarray, n_rows: int) -> float:
     """BDe local score of one (parent configuration, child value) table of
     counts over n_rows rows."""
-    return _bde(np.add.reduce(counts, axis=1), counts, counts.shape[1], n_rows)
+    return float(_bde(np.add.reduce(counts, axis=1), counts.reshape(-1),
+                      counts.shape[1], n_rows))
+
+
+def table_log_scores(counts: np.ndarray, n_rows: int) -> np.ndarray:
+    """table_log_score of each table of a (k, q, r) stack, bit for bit."""
+    k, _, r = counts.shape
+    return _bde(np.add.reduce(counts, axis=2), counts.reshape(k, -1), r, n_rows)
 
 
 def local_log_score(data: Dataset, node: int, parent_set: Sequence[int]) -> float:
@@ -173,7 +182,7 @@ def local_log_score(data: Dataset, node: int, parent_set: Sequence[int]) -> floa
     j = _rank(key)[1]
     r = arities[node]
     pairs = np.unique(j * r + rows[:, node], return_counts=True)[1]
-    return _bde(np.bincount(j), pairs, r, data.n_rows)
+    return float(_bde(np.bincount(j), pairs, r, data.n_rows))
 
 
 def _rank(key: np.ndarray) -> tuple[int, np.ndarray]:

@@ -174,14 +174,15 @@ class TestK2:
             k2_learn(empty, K2Config())
 
 
-def random_dataset(rng, max_nodes=12, max_rows=300):
+def random_dataset(rng, max_nodes=12, max_rows=300, rows=None):
     """Random rows over 2..max_nodes columns of arity 2-5. Each cell of
     column j copies a random earlier column with probability 0.6, so that
     K2 finds parents; one column in four is an exact copy, so that
-    candidates tie and K2's tie-break is exercised."""
+    candidates tie and K2's tie-break is exercised. `rows` fixes the row
+    count, else it is drawn from 20..max_rows."""
     n = int(rng.integers(2, max_nodes + 1))
     arities = [int(a) for a in rng.integers(2, 6, size=n)]
-    m = int(rng.integers(20, max_rows + 1))
+    m = int(rng.integers(20, max_rows + 1)) if rows is None else rows
     rows = np.stack([rng.integers(0, a, size=m) for a in arities], axis=1)
     for j in range(1, n):
         src = int(rng.integers(0, j))
@@ -194,9 +195,32 @@ def random_dataset(rng, max_nodes=12, max_rows=300):
     return dataset(arities, rows)
 
 
+def parity_dataset(rng, rows):
+    """`rows` rows of eight binary columns; from the third on, each is the
+    parity of up to three earlier columns with one bit in five flipped, so
+    that K2 stacks several bit-counted parents in every slot order."""
+    values = rng.integers(0, 2, size=(rows, 8))
+    for j in range(2, 8):
+        parents = rng.choice(j, size=min(j, 3), replace=False)
+        values[:, j] = values[:, parents].sum(axis=1) % 2 ^ (rng.random(rows) < 0.2)
+    return dataset([2] * 8, values)
+
+
+def wide_arity_dataset(rng, rows):
+    """`rows` rows of two columns of arity 2,049 among six of arity 2-5: a
+    family of both has 2,049^2 cells, above DENSE_CELLS = 2^22, so K2 meets
+    every route."""
+    arities = [2049, 2049] + [int(a) for a in rng.integers(2, 6, size=4)]
+    values = np.stack([rng.integers(0, a, size=rows) for a in arities], axis=1)
+    values[:, 1] = values[:, 0]
+    values[:, 3] = values[:, 2] % arities[3]
+    return dataset(arities, values)
+
+
 class TestK2IndexExtension:
-    """k2_learn counts each candidate family by extending the chosen
-    parents' cell index; the per-candidate loop of tests/helpers.py is its
+    """k2_learn counts each candidate family from the chosen family's bit
+    table, by extending the chosen parents' cell index, or with
+    local_log_score; the per-candidate loop of tests/helpers.py is its
     oracle, and every DAG and score must match it bit for bit."""
 
     @pytest.mark.parametrize("dense_cells", [scoring.DENSE_CELLS, 40],
@@ -206,17 +230,30 @@ class TestK2IndexExtension:
         monkeypatch.setattr(scoring, "DENSE_CELLS", dense_cells)
         inserted = set()        # where candidates went relative to the chosen set
         sparse = []
+        routes = set()          # how k2_learn scored a candidate family
         real_local = baselines.local_log_score
+        real_index = baselines.table_log_score
+        real_bits = baselines.table_log_scores
 
         def spy_local(data, node, parents):
             sparse.append(len(parents))
+            if parents:
+                routes.add("local_log_score")
             return real_local(data, node, parents)
 
+        def spy_index(counts, n_rows):
+            routes.add("index extension")
+            return real_index(counts, n_rows)
+
+        def spy_bits(counts, n_rows):
+            routes.add("bit batch")
+            return real_bits(counts, n_rows)
+
         monkeypatch.setattr(baselines, "local_log_score", spy_local)
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            data = random_dataset(rng)
-            order = [int(v) for v in rng.permutation(data.n_cols)]
+        monkeypatch.setattr(baselines, "table_log_score", spy_index)
+        monkeypatch.setattr(baselines, "table_log_scores", spy_bits)
+
+        def check(data, order):
             for cap in range(4):
                 dag, score = k2_learn(data, K2Config(ordering=order, max_parents=cap))
                 tried = []
@@ -227,9 +264,23 @@ class TestK2IndexExtension:
                     k = sum(p < cand for p in chosen)
                     inserted.add("below" if k == 0 and chosen else
                                  "above" if k == len(chosen) else "between")
+
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            data = random_dataset(rng)
+            order = [int(v) for v in rng.permutation(data.n_cols)]
+            check(data, order)
         assert inserted == {"below", "between", "above"}
         # parentless starts only, unless a family crossed DENSE_CELLS
         assert (max(sparse) > 0) == patched
+
+        # both sides of the bit rule cells * ceil(m / 64) <= m, and families
+        # above 2^22 cells
+        for m in (63, 64, 65, 129, 1000):
+            for make in [random_dataset] * 3 + [parity_dataset] * 6 + [wide_arity_dataset]:
+                data = make(rng, rows=m)
+                check(data, [int(v) for v in rng.permutation(data.n_cols)])
+        assert routes == {"bit batch", "index extension", "local_log_score"}
 
 
 class TestK2Golden:

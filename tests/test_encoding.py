@@ -1,7 +1,12 @@
 """Orderings and edge-bit vectors as plain values, and decode/encode round trips."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import coevobn
 import networkx as nx
 import numpy as np
 import pytest
@@ -164,6 +169,35 @@ class TestMaskNodes:
     def test_numpy_integer_masks(self):
         assert mask_nodes(np.int64(0b1010)) == (1, 3)
         assert all(type(v) is int for v in mask_nodes(np.int64(0b1010)))
+
+    def test_negative_mask_is_named(self):
+        # run in a child under a timeout: a loop that never ends fails the
+        # test instead of hanging the suite
+        script = """
+import numpy as np
+from coevobn import Dataset, LocalScoreCache, Variable
+from coevobn.encoding import mask_nodes, masks_dag
+cache = LocalScoreCache(Dataset([Variable("A", 2), Variable("B", 2)], [[0, 1]]))
+for call in (lambda: mask_nodes(-1), lambda: mask_nodes(np.int64(-5)),
+             lambda: cache[0, -1], lambda: masks_dag((0, -2))):
+    try:
+        call()
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+print(len(cache), cache.misses)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ,
+                                 PYTHONPATH=str(Path(coevobn.__file__).parents[1])))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "EncodingError a parent mask must be >= 0, got -1",
+            "EncodingError a parent mask must be >= 0, got -5",
+            "EncodingError a parent mask must be >= 0, got -1",
+            "EncodingError a parent mask must be >= 0, got -2",
+            "0 0",
+        ]
 
 
 class TestDecodeParents:

@@ -154,6 +154,30 @@ class TestCountStatsDifferential:
             assert not rows.flags.writeable
 
 
+class TestBatchedBde:
+    """K2 scores a stack of tables with one _bde call; each score must equal
+    table_log_score of its table alone, bit for bit. The lengths cross
+    numpy's pairwise-summation blocks (8 accumulators, 128-element leaves)."""
+
+    @pytest.mark.parametrize("length", [*range(1, 10), 15, 16, 17, 127, 128,
+                                        129, 1000])
+    def test_stacked_rows_sum_like_one_table(self, length):
+        rng = np.random.default_rng(length)
+        # (q, r) tables whose configurations, and whose cells, number `length`
+        shapes = [(length, 2), (length, 3)] + ([(1, length)] if length > 1 else [])
+        for k in (1, 2, 7, 30):
+            for q, r in shapes:
+                tables = rng.integers(0, 40, size=(k, q, r))
+                tables[rng.random(tables.shape) < 0.3] = 0   # empty cells
+                n_rows = int(tables.sum(axis=(1, 2)).max())
+                scores = scoring._bde(tables.sum(axis=2), tables.reshape(k, -1),
+                                      r, n_rows)
+                assert scores.shape == (k,)
+                expected = [table_log_score(t, n_rows) for t in tables]
+                assert scores.tolist() == expected
+                assert scoring.table_log_scores(tables, n_rows).tolist() == expected
+
+
 def row_wise_observed_score(data, node, parents):
     """The observed-pair score with the parent configurations numbered by
     np.unique over the rows of their values (lexicographic, first parent
