@@ -61,8 +61,8 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
 
     Each step counts every candidate family by one of count_stats' or
     local_log_score's routes, chosen from the sizes alone:
-    - a family that passes count_stats' bit rule (cells * ceil(m / 64) <=
-      m) is counted from `table`, the bit table of the node and its chosen
+    - a family that Dataset.fits_bits admits, as count_stats does, is
+      counted from `table`, the bit table of the node and its chosen
       parents in count_stats order: the candidates of one arity and one
       insertion slot among the chosen parents are ANDed with it and
       popcounted at once, and one transpose moves each candidate's axis to
@@ -91,10 +91,6 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
     rows, arities, m = data.rows, data.arities, data.n_rows
     words = -(-m // 64)
     dense = scoring.DENSE_CELLS
-
-    def bit_counted(cells: int) -> bool:  # count_stats' rule
-        return cells * words <= m and cells <= dense
-
     parent_sets: list[tuple[int, ...]] = [()] * n
     local_scores = [0.0] * n
     for pos, node in enumerate(order):
@@ -102,7 +98,7 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
         chosen: list[int] = []   # kept sorted
         cells = r                # q * r of node given chosen
         strides = [r]            # count_stats stride of a parent at each slot
-        table = data.bits(node) if bit_counted(cells) else None
+        table = data.bits(node) if data.fits_bits(cells) else None
         current = local_log_score(data, node, ())
         while len(chosen) < cfg.max_parents:
             cands = [c for c in order[:pos] if c not in chosen]
@@ -113,11 +109,11 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
                 a = arities[cand]
                 if cells * a > dense:
                     scores[i] = local_log_score(data, node, chosen + [cand])
-                elif bit_counted(cells * a):
+                elif data.fits_bits(cells * a):
                     groups.setdefault((a, bisect_left(chosen, cand)), []).append(i)
                 else:
                     if full is None:
-                        full = mixed_radix_index(rows, [node, *chosen], arities)[0]
+                        full = mixed_radix_index(rows, [node, *chosen], arities)
                         scaled = {}  # a_c -> a_c full, once per candidate arity
                     if a not in scaled:
                         scaled[a] = full * a
@@ -141,7 +137,7 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
             cand = cands[best]
             a = arities[cand]
             slot = bisect_left(chosen, cand)
-            if bit_counted(cells * a):  # cand's axis goes to its sorted place
+            if data.fits_bits(cells * a):  # cand's axis goes to its sorted place
                 table = (data.bits(cand)[:, None] & table).reshape(
                     a, -1, strides[slot], words).transpose(1, 0, 2, 3).reshape(-1, words)
             else:

@@ -150,16 +150,16 @@ def parent_config_index(values: Sequence[int], parents: Sequence[int],
 
 
 def mixed_radix_index(rows: np.ndarray, columns: Sequence[int],
-                      arities: Sequence[int]) -> tuple[np.ndarray | int, list[int]]:
+                      arities: Sequence[int]) -> np.ndarray | int:
     """The mixed-radix index sum over i of S_i x_(c_i) of every row of a
-    (m, n) value matrix over the given columns, the first fastest, and the
-    strides [S_0 = 1, S_1, ..., S_k]: S_i is the product of the arities of
-    the columns before c_i. The index is 0 when there are no columns."""
-    flat, strides = 0, [1]
+    (m, n) value matrix over the given columns, the first fastest: S_i is
+    the product of the arities of the columns before c_i. The index is 0
+    when there are no columns."""
+    flat, stride = 0, 1
     for k, c in enumerate(columns):
-        flat = rows[:, c] if k == 0 else flat + rows[:, c] * strides[-1]
-        strides.append(strides[-1] * int(arities[c]))
-    return flat, strides
+        flat = rows[:, c] if k == 0 else flat + rows[:, c] * stride
+        stride *= int(arities[c])
+    return flat
 
 
 class BayesianNetwork:
@@ -269,9 +269,9 @@ class Dataset:
         """The read-only (arity, ceil(m / 64)) uint64 bit table of a column,
         built on first use: bit i of row v is set when row i holds value v,
         and the padding bits past the last row are zero. scoring.count_stats
-        and baselines.k2_learn ask only for the columns of tables of at most
-        m / ceil(m / 64) cells, so no such table is larger than the int64
-        column itself."""
+        and baselines.k2_learn ask only for the columns of tables that
+        fits_bits admits, so no such table is larger than the int64 column
+        itself."""
         table = self._bits[column]
         if table is None:
             values = self.rows[:, column]
@@ -284,6 +284,12 @@ class Dataset:
             table.setflags(write=False)
             self._bits[column] = table
         return table
+
+    def fits_bits(self, cells: int) -> bool:
+        """Whether a count table of `cells` cells is counted from the bit
+        tables: its cells times the ceil(m / 64) words of a row bitset fit
+        in the m rows, so it is no larger than one int64 column."""
+        return cells * -(-self.n_rows // 64) <= self.n_rows
 
     @property
     def n_rows(self) -> int:
@@ -321,7 +327,7 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
             for start in range(0, count, SAMPLE_BLOCK):
                 block = values[start:start + SAMPLE_BLOCK]
                 # 0 for a parentless node: every row reads CPT row 0
-                rows = mixed_radix_index(block, net.dag.parents[i], arities)[0]
+                rows = mixed_radix_index(block, net.dag.parents[i], arities)
                 u = rng.random(block.shape[0])
                 block[:, i] = (u[:, None] >= cdf[rows]).sum(axis=1)
         return Dataset._adopt(net.variables, values)
@@ -333,31 +339,33 @@ def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
                    seed: int = 0) -> BayesianNetwork:
     """Generate a random network: random topological order, independent
     edge coin-flips at `edge_density`, per-node arity uniform in
-    2..max_arity, and flat-Dirichlet CPT rows."""
+    2..max_arity, and flat-Dirichlet CPT rows. The flips out of each
+    position are one rng call, the same stream as one call per pair; a node
+    is refused as soon as a parent takes its CPT above DENSE_CELLS cells."""
     check_number("nodes", n, integer=True, low=1)
     check_number("max_arity", max_arity, integer=True, low=2)
     check_number("edge_density", edge_density, low=0, high=1)
     check_number("seed", seed, integer=True, low=0)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    arities = rng.integers(2, max_arity + 1, size=n)
-    variables = [Variable(f"X{i + 1}", int(arities[i])) for i in range(n)]
+    order = rng.permutation(n).tolist()
+    arities = rng.integers(2, max_arity + 1, size=n).tolist()
+    variables = [Variable(f"X{i + 1}", a) for i, a in enumerate(arities)]
+    check_variables(variables)  # every arity within DENSE_CELLS
+    cells = list(arities)  # q * r of each node given the parents drawn so far
     parents: list[list[int]] = [[] for _ in range(n)]
     for s in range(n - 1):
-        for t in range(s + 1, n):
-            if rng.random() < edge_density:
-                parents[int(order[t])].append(int(order[s]))
-    dag = Dag(n, parents)
-    for i in range(n):  # before any CPT is drawn
-        cells = parent_config_count(dag.parents[i], arities) * int(arities[i])
-        if cells > DENSE_CELLS:
-            raise ValidationError(f"node {i} ({variables[i].name}) needs a CPT of "
-                                  f"{cells} cells, above DENSE_CELLS = {DENSE_CELLS}")
-    cpts = []
-    for i in range(n):
-        q = parent_config_count(dag.parents[i], arities)
-        cpts.append(rng.dirichlet(np.ones(int(arities[i])), size=q))
-    return BayesianNetwork(variables, dag, cpts)
+        parent = order[s]
+        for t in np.flatnonzero(rng.random(n - 1 - s) < edge_density).tolist():
+            child = order[s + 1 + t]
+            parents[child].append(parent)
+            cells[child] *= arities[parent]
+            if cells[child] > DENSE_CELLS:
+                raise ValidationError(
+                    f"node {child} ({variables[child].name}) needs a CPT of "
+                    f"{cells[child]} cells, above DENSE_CELLS = {DENSE_CELLS}")
+    cpts = [rng.dirichlet(np.ones(r), size=cells[i] // r)
+            for i, r in enumerate(arities)]
+    return BayesianNetwork(variables, Dag(n, parents), cpts)
 
 
 # ---------------------------------------------------------------------------

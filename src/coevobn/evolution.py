@@ -29,7 +29,8 @@ from .scoring import LocalScoreCache, score_parent_sets
 @dataclass
 class GaConfig:
     """Engine parameters. p_mb=None means one expected bit flip per genome
-    (1/E with E = n(n-1)/2, resolved once the node count is known)."""
+    (1/E with E = n(n-1)/2, resolved once the node count is known).
+    validate is the only check of the fields; the operators trust it."""
 
     generations: int = 250
     population_size: int = 100
@@ -68,8 +69,6 @@ class ConvergenceTrace:
         self.records: list[TraceRecord] = []
 
     def append(self, record: TraceRecord) -> None:
-        if self.records and record.generation <= self.records[-1].generation:
-            raise EngineError("trace generations must be strictly increasing")
         self.records.append(record)
 
     @property
@@ -142,10 +141,9 @@ def tournament_select(members: list, fitness, rng: np.random.Generator) -> list:
     """Two independent random pairings; the fitter member of each pair
     advances (ties by coin flip). Every member competes exactly once per
     pairing, so each participates in exactly two tournaments and the pool
-    size equals the population size."""
+    size equals the population size, which must be even (see
+    GaConfig.validate)."""
     size = len(members)
-    if size % 2 != 0:
-        raise EngineError(f"tournament pairing needs an even population, got {size}")
     fit = np.asarray(fitness).tolist()  # plain floats compare faster
     pool = []
     for _ in range(2):
@@ -181,11 +179,9 @@ def two_point_crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Exchange the middle of the three segments delimited by two distinct
     cut points (drawn uniformly without replacement from the boundaries
-    1..L). Vectors of length < 2 are returned unchanged; children are
-    fresh read-only arrays."""
+    1..L) of two vectors of one length L. Vectors of length < 2 are
+    returned unchanged; children are fresh read-only arrays."""
     L = a.size
-    if b.size != L:
-        raise EngineError(f"cannot cross bit vectors of lengths {L} and {b.size}")
     if L < 2:
         return a, b
     c1, c2 = sorted(c + 1 for c in two_distinct(L, rng))  # boundaries 1..L
@@ -202,14 +198,13 @@ def cycle_crossover(a: tuple[int, ...], b: tuple[int, ...]
                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Exchange whole position-cycles between the parents.
 
-    Cycles are discovered from the first unused position onward; the first
-    child takes odd-numbered cycles from `a` and even-numbered ones from
-    `b`, the second child the complement. Every child position keeps a
-    value present at that position in one of the parents. Deterministic:
+    Both parents permute range(n), as every ordering the engine makes
+    does. Cycles are discovered from the first unused position onward; the
+    first child takes odd-numbered cycles from `a` and even-numbered ones
+    from `b`, the second child the complement. Every child position keeps
+    a value present at that position in one of the parents. Deterministic:
     it draws no random numbers.
     """
-    if len(a) != len(b):  # orderings are permutations of range(n) by construction
-        raise EngineError("cycle crossover requires permutations of the same length")
     n = len(a)
     pos_in_a = {v: p for p, v in enumerate(a)}
     used = [False] * n
@@ -236,12 +231,9 @@ def cycle_crossover(a: tuple[int, ...], b: tuple[int, ...]
 
 def bit_flip_mutation(g: np.ndarray, p_mb: float,
                       rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability p_mb; a flipped child
-    is a fresh read-only array, an unflipped one is `g` itself."""
-    if not 0.0 <= p_mb <= 1.0:
-        raise ValidationError(f"p_mb must lie in [0, 1], got {p_mb}")
-    if g.size == 0:
-        return g
+    """Flip each bit independently with probability p_mb in [0, 1] (see
+    GaConfig.validate); a flipped child is a fresh read-only array, an
+    unflipped one is `g` itself."""
     flips = rng.random(g.size) < p_mb
     if not np.count_nonzero(flips):  # cheaper than flips.any()
         return g
@@ -252,9 +244,8 @@ def bit_flip_mutation(g: np.ndarray, p_mb: float,
 
 def swap_mutation(g: tuple[int, ...], p_mp: float,
                   rng: np.random.Generator) -> tuple[int, ...]:
-    """With probability p_mp, swap the values at two distinct positions."""
-    if not 0.0 <= p_mp <= 1.0:
-        raise ValidationError(f"p_mp must lie in [0, 1], got {p_mp}")
+    """With probability p_mp in [0, 1] (see GaConfig.validate), swap the
+    values at two distinct positions."""
     if len(g) < 2:
         return g
     if rng.random() >= p_mp:
@@ -353,8 +344,14 @@ def evolve(data: Dataset, cfg: GaConfig
     two_point = partial(two_point_crossover, rng=rng)
     flip = partial(bit_flip_mutation, p_mb=p_mb, rng=rng)
     trace = ConvergenceTrace()
-    perm_pop = init_permutation_pop(data.n_cols, cfg.population_size, rng)
-    bit_pop = init_binary_pop(data.n_cols, cfg.population_size, rng)
+    try:
+        perm_pop = init_permutation_pop(data.n_cols, cfg.population_size, rng)
+        bit_pop = init_binary_pop(data.n_cols, cfg.population_size, rng)
+    except MemoryError:
+        raise ValidationError(
+            f"out of memory setting up two species of population_size = "
+            f"{cfg.population_size} over {data.n_cols} nodes and {E} edge bits"
+        ) from None
     # Both species are scored before either has fitness, so generation 0
     # pairs every member with a random partner only.
     perm_fit = evaluate(perm_pop, bit_pop, None, score_pair, rng)

@@ -50,9 +50,9 @@ class LocalScoreCache(dict):
     mask's sorted parent tuple and counts it in `misses`: each miss is one
     new entry, and one count_stats call when the family's table fits in
     DENSE_CELLS cells (see local_log_score). score_parent_sets counts every term
-    it reads that was already stored in `hits`; `lookups` is their sum. A
-    dict read that finds its key runs no Python code, so the hit path stays
-    C-only and never builds a parent tuple.
+    it reads that was already stored in `hits`. A dict read that finds its
+    key runs no Python code, so the hit path stays C-only and never builds
+    a parent tuple.
     """
 
     def __init__(self, data: Dataset):
@@ -66,10 +66,6 @@ class LocalScoreCache(dict):
         value = self[key] = local_log_score(self.data, node, mask_nodes(mask))
         self.misses += 1
         return value
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
 
 
 def _family(data: Dataset, node: int,
@@ -102,24 +98,23 @@ def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarr
     child value) cell, in mixed_radix_index order: child fastest, then the
     parents in ascending order. A table above DENSE_CELLS cells is refused.
 
-    A table whose cells times the row bitset's ceil(m / 64) words fit in the
-    m rows is counted from the columns' bit tables (Dataset.bits): the
-    child's table is ANDed with each parent's, one broadcast per parent, and
-    each cell's bits are popcounted. A larger table tallies the rows' mixed
-    radix index with one bincount. Both give the same table."""
+    A table that Dataset.fits_bits admits is counted from the columns' bit
+    tables (Dataset.bits): the child's table is ANDed with each parent's,
+    one broadcast per parent, and each cell's bits are popcounted. A larger
+    table tallies the rows' mixed radix index with one bincount. Both give
+    the same table."""
     parent_set, cells = _family(data, node, parent_set)
     if cells > DENSE_CELLS:
         raise ValidationError(f"node {node} ({data.variables[node].name}) needs a "
                               f"table of {cells} cells, above DENSE_CELLS = {DENSE_CELLS}")
-    r, m = data.arities[node], data.n_rows
-    words = -(-m // 64)
-    if cells * words <= m:
+    r = data.arities[node]
+    if data.fits_bits(cells):
         table = data.bits(node)
         for p in parent_set:  # p's value becomes the slowest axis so far
-            table = (data.bits(p)[:, None] & table).reshape(-1, words)
+            table = (data.bits(p)[:, None] & table).reshape(-1, table.shape[1])
         return np.add.reduce(np.bitwise_count(table), axis=1,
                              dtype=np.int64).reshape(-1, r)
-    flat = mixed_radix_index(data.rows, (node, *parent_set), data.arities)[0]
+    flat = mixed_radix_index(data.rows, (node, *parent_set), data.arities)
     return np.bincount(flat, minlength=cells).reshape(-1, r)
 
 

@@ -7,8 +7,10 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import traceback
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +41,8 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+def cap_address_space(limit=2 << 30):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def capped_env():
@@ -300,6 +302,21 @@ class TestDenseStructures:
         assert "cells, above DENSE_CELLS" in proc.stderr
         assert not (tmp_path / "net.json").exists()
 
+    def test_random_net_of_200000_nodes_is_refused_while_drawing(self, tmp_path):
+        # the default density gives about 4e9 edges; the first node whose
+        # CPT passes DENSE_CELLS is refused after a few rows of coin flips
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "coevobn.cli", "random-net", "--nodes", "200000",
+             "--out-file", str(tmp_path / "net.json")],
+            env=capped_env(), preexec_fn=cap_address_space, capture_output=True,
+            text=True, timeout=120)
+        assert time.monotonic() - start < 60
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"cells, above DENSE_CELLS = {scoring.DENSE_CELLS}" in proc.stderr
+        assert not (tmp_path / "net.json").exists()
+
     @pytest.mark.parametrize("command", ["learn-k2", "learn-ccga"])
     def test_arity_above_the_dense_limit_is_usage_error(self, tmp_path, command):
         # counting X1's values alone would ask for a 7.28 TiB table
@@ -420,6 +437,27 @@ class TestLearnCcgaConfig:
                            "--config", str(cfg))
         assert code == 2
         assert field in err
+
+    def test_oversized_population_is_usage_error(self, tmp_path):
+        # 2e9 orderings of 200 nodes; the child runs out of its 512 MiB
+        # while the first species is set up
+        data = tmp_path / "data.csv"
+        rows = np.random.default_rng(0).integers(0, 2, size=(5, 200))
+        save_dataset(Dataset([Variable(f"V{i}", 2) for i in range(200)], rows), data)
+        cfg = tmp_path / "ga.json"
+        cfg.write_text(json.dumps({"population_size": 2_000_000_000}))
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "coevobn.cli", "learn-ccga", "--data", str(data),
+             "--config", str(cfg), "--out", str(tmp_path / "out")],
+            env=capped_env(), preexec_fn=partial(cap_address_space, 512 << 20),
+            capture_output=True, text=True, timeout=120)
+        assert time.monotonic() - start < 60
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "population_size = 2000000000 over 200 nodes and 19900 edge bits" \
+            in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_no_cache_flag_is_gone(self, capsys, tmp_path):
         data = tmp_path / "data.csv"

@@ -68,6 +68,25 @@ class TestConfig:
         with pytest.raises(ValidationError):
             GaConfig(p_mb=-0.1).validate()
 
+    # validate is the only check of these rules: the operators trust it
+    @pytest.mark.parametrize("field, value", [
+        ("p_mb", 1.5), ("p_mb", float("nan")),
+        ("p_mp", 1.5), ("p_mp", -0.1), ("p_mp", float("nan")),
+    ])
+    def test_mutation_probability_outside_unit_interval(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            GaConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 101])
+    def test_population_must_be_even_and_at_least_two(self, size):
+        with pytest.raises(ValidationError, match="population_size"):
+            GaConfig(population_size=size).validate()
+
+    @pytest.mark.parametrize("field, value", [("p_mb", 1.0), ("p_mb", 0.0),
+                                              ("p_mp", 1.0), ("p_mp", 0.0)])
+    def test_mutation_probability_bounds_are_inclusive(self, field, value):
+        GaConfig(**{field: value}).validate()
+
     def test_defaults_are_valid(self):
         GaConfig().validate()
 
