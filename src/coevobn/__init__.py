@@ -59,6 +59,7 @@ from .evolution import (
     init_permutation_pop,
     swap_mutation,
     tournament_select,
+    trace_csv,
     two_point_crossover,
 )
 from .harness import (

@@ -343,16 +343,22 @@ def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
     position are one rng call, the same stream as one call per pair; a node
     is refused as soon as a parent takes its CPT above DENSE_CELLS cells."""
     check_number("nodes", n, integer=True, low=1)
-    check_number("max_arity", max_arity, integer=True, low=2)
+    check_number("max_arity", max_arity, integer=True, low=2, high=DENSE_CELLS)
     check_number("edge_density", edge_density, low=0, high=1)
     check_number("seed", seed, integer=True, low=0)
+    too_big = ValidationError(f"out of memory drawing a network of {n} nodes: its "
+                              f"ordering and arities alone ask for {n * 16} bytes")
+    if n * 16 > sys.maxsize:  # numpy refuses it with a ValueError
+        raise too_big
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n).tolist()
-    arities = rng.integers(2, max_arity + 1, size=n).tolist()
-    variables = [Variable(f"X{i + 1}", a) for i, a in enumerate(arities)]
-    check_variables(variables)  # every arity within DENSE_CELLS
-    cells = list(arities)  # q * r of each node given the parents drawn so far
-    parents: list[list[int]] = [[] for _ in range(n)]
+    try:
+        order = rng.permutation(n).tolist()
+        arities = rng.integers(2, max_arity + 1, size=n).tolist()
+        variables = [Variable(f"X{i + 1}", a) for i, a in enumerate(arities)]
+        cells = list(arities)  # q * r of each node given the parents drawn so far
+        parents: list[list[int]] = [[] for _ in range(n)]
+    except MemoryError:
+        raise too_big from None
     for s in range(n - 1):
         parent = order[s]
         for t in np.flatnonzero(rng.random(n - 1 - s) < edge_density).tolist():

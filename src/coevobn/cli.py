@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
     config_from_dict,
 )
-from .evolution import GaConfig, evolve
+from .evolution import GaConfig, evolve, trace_csv
 from .harness import ExperimentConfig, run_comparison, score_structure
 from .scoring import fit_network
 
@@ -134,7 +134,7 @@ def _save_learned(args, prefix: str, data, dag: Dag, score: float,
     save_structure(data.variables, dag, written[0])
     if trace is not None:
         written.append(out / f"{prefix}_trace.csv")
-        trace.write_csv(written[1])
+        written[1].write_text(trace_csv(trace.records), newline="")
     print("wrote " + " and ".join(map(str, written)))
     if network is not None:
         network_path = out / f"{prefix}_network.json"

@@ -9,12 +9,12 @@ exists yet, so only a random collaborator is used.
 
 Each generation runs selection, crossover, mutation, evaluation and
 elitist replacement for the permutation species and then, with the other
-operators, for the binary species. Evaluation is sequential, so runs are
-deterministic given the seed.
+operators, for the binary species.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -62,36 +62,21 @@ class TraceRecord:
     evaluations: int
 
 
+@dataclass
 class ConvergenceTrace:
     """Per-generation statistics of a single run."""
 
-    def __init__(self):
-        self.records: list[TraceRecord] = []
+    records: list[TraceRecord]
 
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
 
-    @property
-    def best_scores(self) -> list[float]:
-        return [r.best_score for r in self.records]
-
-    def to_csv(self) -> str:
-        lines = ["generation,best_score,mean_score,evaluations"]
-        for r in self.records:
-            lines.append(
-                f"{r.generation},{r.best_score:.6f},{r.mean_score:.6f},{r.evaluations}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(self.to_csv())
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+def trace_csv(records) -> str:
+    """The trace CSV of a run's records: one line per generation."""
+    lines = ["generation,best_score,mean_score,evaluations"]
+    for r in records:
+        lines.append(
+            f"{r.generation},{r.best_score:.6f},{r.mean_score:.6f},{r.evaluations}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +99,10 @@ class EvolutionState:
 
 def init_permutation_pop(n: int, size: int, rng: np.random.Generator) -> list:
     """Uniformly random orderings, no further constraints."""
-    return [tuple(rng.permutation(n).tolist()) for _ in range(size)]
+    members = [None] * size  # a size that cannot be held fails before any draw
+    for k in range(size):
+        members[k] = tuple(rng.permutation(n).tolist())
+    return members
 
 
 def init_binary_pop(n: int, size: int, rng: np.random.Generator) -> list:
@@ -318,12 +306,20 @@ def evolve(data: Dataset, cfg: GaConfig
 
     Deterministic given (data, cfg.seed): evaluation is sequential and
     draws from the same rng as the operators. Operators and scorer are read
-    from this module's attributes at call time, so they can be wrapped."""
+    from this module's attributes at call time, so they can be wrapped.
+    Two species whose genes alone, population_size * (8n + E) bytes, pass
+    sys.maxsize are refused before set-up; a set-up out of memory too."""
     cfg.validate()
     if data.n_rows == 0:
         raise EmptyDataError("cannot evolve structures on a dataset with no rows")
+    n, E = data.n_cols, triangular_size(data.n_cols)
+    need = cfg.population_size * (8 * n + E)  # a pointer per node, a byte per bit
+    too_big = ValidationError(
+        f"out of memory setting up two species of population_size = {cfg.population_size} "
+        f"over {n} nodes and {E} edge bits: their genes alone ask for {need} bytes")
+    if need > sys.maxsize:
+        raise too_big
     cache = LocalScoreCache(data)
-    E = triangular_size(data.n_cols)
     p_mb = cfg.p_mb if cfg.p_mb is not None else (1.0 / E if E else 0.0)
     rng = np.random.default_rng(cfg.seed)
     best = None         # the strictly best pair scored so far, in scoring order
@@ -343,15 +339,12 @@ def evolve(data: Dataset, cfg: GaConfig
     swap = partial(swap_mutation, p_mp=cfg.p_mp, rng=rng)
     two_point = partial(two_point_crossover, rng=rng)
     flip = partial(bit_flip_mutation, p_mb=p_mb, rng=rng)
-    trace = ConvergenceTrace()
+    trace = ConvergenceTrace([])
     try:
-        perm_pop = init_permutation_pop(data.n_cols, cfg.population_size, rng)
-        bit_pop = init_binary_pop(data.n_cols, cfg.population_size, rng)
+        perm_pop = init_permutation_pop(n, cfg.population_size, rng)
+        bit_pop = init_binary_pop(n, cfg.population_size, rng)
     except MemoryError:
-        raise ValidationError(
-            f"out of memory setting up two species of population_size = "
-            f"{cfg.population_size} over {data.n_cols} nodes and {E} edge bits"
-        ) from None
+        raise too_big from None
     # Both species are scored before either has fitness, so generation 0
     # pairs every member with a random partner only.
     perm_fit = evaluate(perm_pop, bit_pop, None, score_pair, rng)
@@ -364,7 +357,7 @@ def evolve(data: Dataset, cfg: GaConfig
             bit_pop, bit_fit = _generation(bit_pop, bit_fit, perm_pop, perm_fit,
                                            two_point, flip, score_bits, cfg.p_c, rng)
         mean = float(np.concatenate([perm_fit, bit_fit]).mean())
-        trace.append(TraceRecord(gen, best.log_score, mean, evaluations))
+        trace.records.append(TraceRecord(gen, best.log_score, mean, evaluations))
         evaluations = 0
 
     return EvolutionState(best), trace

@@ -260,10 +260,9 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
 
 
 def _write_mean_trace(path, traces) -> None:
-    generations = len(traces[0])
-    best = np.array([trace.best_scores for trace in traces])
+    best = np.array([[r.best_score for r in trace.records] for trace in traces])
     with open(path, "w", newline="") as f:
         f.write("generation,mean_best_score\n")
-        for g in range(generations):
-            f.write(f"{g},{best[:, g].mean():.6f}\n")
+        for g, column in enumerate(best.T):
+            f.write(f"{g},{column.mean():.6f}\n")
 

@@ -176,7 +176,7 @@ def test_criterion_7_monotonicity_and_determinism(tmp_path):
     for seed in range(5):
         _, trace = evolve(data, GaConfig(generations=12, population_size=10,
                                          seed=seed))
-        best = trace.best_scores
+        best = [r.best_score for r in trace.records]
         assert all(b >= a for a, b in zip(best, best[1:]))
 
     run_comparison(experiment(tmp_path / "a"))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -701,6 +702,73 @@ def fuzz_cli(seed, cases, workdir):
     print(json.dumps({"exits": exits, "failures": failures}))
 
 
+class _Overrun(BaseException):
+    """A fuzz case ran past its time limit; no handler in cli_main catches it."""
+
+
+def _overrun(signum, frame):
+    raise _Overrun
+
+
+def fuzz_sizes(seed, cases, workdir, seconds=20):
+    """Feed `cases` seeded size requests to `random-net`, `learn-ccga` and
+    `compare` through cli_main in this process: node counts, arities and
+    population sizes that are small, at the bound the request is checked
+    against, and past it. Print one JSON object: the exit codes seen and
+    every case that exited other than 0 or 2, printed a traceback or ran
+    past `seconds`."""
+    rng = np.random.default_rng(seed)
+    work = Path(workdir)
+    data = ancestral_sample(random_network(5, 3, 0.4, 1), 30, 1)
+    save_dataset(data, work / "data.csv")
+    node_bound = sys.maxsize // 16  # random_network's ordering and arities
+    pop_bound = sys.maxsize // (8 * 5 + 10)  # two species over 5 nodes, 10 bits
+    nodes = [1, 2, 3, node_bound, node_bound + 1, 10 ** 12, 10 ** 20]
+    arities = [2, 3, 5, scoring.DENSE_CELLS, scoring.DENSE_CELLS + 1, 10 ** 20]
+    populations = [2, 4, 10, pop_bound - pop_bound % 2,
+                   pop_bound + 2 - pop_bound % 2, 2 ** 62, 10 ** 30]
+    exits, failures = {}, []
+    signal.signal(signal.SIGALRM, _overrun)
+    for case in range(cases):
+        config = work / f"config{case}.json"
+        if case % 3 == 0:
+            argv = ["random-net", "--nodes", _pick(rng, nodes), "--max-arity",
+                    _pick(rng, arities), "--seed", int(rng.integers(1000)),
+                    "--out-file", work / f"net{case}.json"]
+        elif case % 3 == 1:
+            config.write_text(json.dumps(
+                {"generations": 2, "population_size": _pick(rng, populations)}))
+            argv = ["learn-ccga", "--data", work / "data.csv", "--config", config]
+        else:
+            config.write_text(json.dumps({
+                "generator": {"nodes": int(rng.integers(2, 4)),
+                              "max_arity": _pick(rng, arities),
+                              "seed": int(rng.integers(1000))},
+                "sample_sizes": [20], "runs": 2,
+                "ga": {"generations": 2, "population_size": 4}}))
+            argv = ["compare", "--config", config, "--out", work / f"cmp{case}"]
+        argv = [str(arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.monotonic()
+        try:
+            signal.alarm(seconds)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+        except _Overrun:
+            code = "overrun"
+        except Exception:
+            code = None
+            err.write(traceback.format_exc())
+        finally:
+            signal.alarm(0)
+        exits[str(code)] = exits.get(str(code), 0) + 1
+        if code not in (0, 2) or "Traceback" in err.getvalue():
+            failures.append({"argv": argv, "code": code,
+                             "seconds": round(time.monotonic() - start, 1),
+                             "stderr": err.getvalue()[-2000:]})
+    print(json.dumps({"exits": exits, "failures": failures}))
+
+
 class TestFuzz:
     def test_malformed_inputs_exit_0_or_2_without_a_traceback(self, tmp_path):
         cases = 300
@@ -709,6 +777,20 @@ class TestFuzz:
         proc = subprocess.run([sys.executable, "-c", code], env=capped_env(),
                               preexec_fn=cap_address_space, capture_output=True,
                               text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["failures"] == []
+        assert sum(result["exits"].values()) == cases
+        assert result["exits"]["0"] > 0 and result["exits"]["2"] > 0
+
+    def test_oversized_requests_exit_0_or_2_promptly(self, tmp_path):
+        cases = 45
+        code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+                f"from test_cli import fuzz_sizes; "
+                f"fuzz_sizes(11, {cases}, {str(tmp_path)!r})")
+        proc = subprocess.run([sys.executable, "-c", code], env=capped_env(),
+                              preexec_fn=cap_address_space, capture_output=True,
+                              text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["failures"] == []

@@ -19,6 +19,7 @@ from coevobn import (
     random_network,
     swap_mutation,
     tournament_select,
+    trace_csv,
     triangular_size,
     two_point_crossover,
 )
@@ -345,27 +346,27 @@ class TestEvolve:
 
     def test_zero_generations_keeps_initial_best(self):
         state, trace = evolve(self.data, self.small_config(generations=0))
-        assert len(trace) == 1
+        assert len(trace.records) == 1
         assert trace.records[0].generation == 0
         assert state.best_so_far.log_score == trace.records[0].best_score
 
     def test_best_trace_is_nondecreasing(self):
         _, trace = evolve(self.data, self.small_config(generations=15))
-        best = trace.best_scores
+        best = [r.best_score for r in trace.records]
         assert all(b >= a for a, b in zip(best, best[1:]))
 
     def test_evaluation_budget_accounting(self):
         size = 10
         _, trace = evolve(self.data, self.small_config(population_size=size))
-        records = list(trace)
+        records = trace.records
         assert records[0].evaluations == 2 * size
         assert all(r.evaluations == 4 * size for r in records[1:])
 
     def test_deterministic_given_seed(self):
         _, t1 = evolve(self.data, self.small_config())
         _, t2 = evolve(self.data, self.small_config())
-        assert [(r.best_score, r.mean_score, r.evaluations) for r in t1] == \
-            [(r.best_score, r.mean_score, r.evaluations) for r in t2]
+        assert [(r.best_score, r.mean_score, r.evaluations) for r in t1.records] == \
+            [(r.best_score, r.mean_score, r.evaluations) for r in t2.records]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValidationError):
@@ -404,7 +405,7 @@ class TestEvolve:
 
     def test_trace_csv_format(self):
         _, trace = evolve(self.data, self.small_config(generations=2))
-        lines = trace.to_csv().strip().split("\n")
+        lines = trace_csv(trace.records).strip().split("\n")
         assert lines[0] == "generation,best_score,mean_score,evaluations"
         assert len(lines) == 4
         assert lines[1].startswith("0,")
@@ -513,7 +514,7 @@ class TestGoldenTrajectory:
         data = ancestral_sample(chain3(0.9), 200, seed=4)
         state, trace = evolve(data, GaConfig(generations=12, population_size=8,
                                              seed=5))
-        assert trace.to_csv() == GOLDEN_N3
+        assert trace_csv(trace.records) == GOLDEN_N3
         best = state.best_so_far
         assert (best.perm, best.bits.tolist()) == ((0, 1, 2), bools("101").tolist())
 
@@ -521,7 +522,7 @@ class TestGoldenTrajectory:
         data = ancestral_sample(random_network(6, 3, 0.4, seed=2), 300, seed=3)
         state, trace = evolve(data, GaConfig(generations=20, population_size=10,
                                              seed=7))
-        assert trace.to_csv() == GOLDEN_N6
+        assert trace_csv(trace.records) == GOLDEN_N6
         best = state.best_so_far
         assert (best.perm, best.bits.tolist()) == \
             ((3, 5, 2, 4, 1, 0), bools("111001000000111").tolist())
@@ -531,7 +532,7 @@ class TestGoldenTrajectory:
         operator fast paths are pinned at the paper's shape."""
         data = ancestral_sample(random_network(10, 3, 14 / 45, seed=6), 1000, seed=6)
         state, trace = evolve(data, GaConfig(generations=25, seed=1))
-        assert trace.to_csv() == GOLDEN_N10
+        assert trace_csv(trace.records) == GOLDEN_N10
         best = state.best_so_far
         assert (best.perm, best.bits.tolist()) == \
             ((2, 5, 6, 9, 0, 3, 8, 1, 7, 4),
