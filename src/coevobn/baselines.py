@@ -3,26 +3,22 @@ enumeration for small node counts, and the exact labeled-DAG counter."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, permutations
+from itertools import permutations
 from math import comb
 from numbers import Integral
-from operator import mul
 from typing import Iterator
 
 import numpy as np
 
-from . import scoring
-from .bayesnet import Dag, Dataset, mixed_radix_index
+from .bayesnet import Dag, Dataset
 from .encoding import decode_parents, masks_dag, triangular_size
 from .errors import EmptyDataError, ValidationError, check_number
 from .scoring import (
     LocalScoreCache,
+    extension_scores,
     local_log_score,
     score_parent_sets,
-    table_log_score,
-    table_log_scores,
 )
 
 ENUMERATION_LIMIT = 5
@@ -57,24 +53,8 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
     Every node starts parentless; the single predecessor whose addition
     raises the node's local score the most is added, until no addition
     strictly improves it or max_parents is reached. Ties between candidate
-    parents go to the one earliest in the ordering.
-
-    Each step counts every candidate family by one of count_stats' or
-    local_log_score's routes, chosen from the sizes alone:
-    - a family that Dataset.fits_bits admits, as count_stats does, is
-      counted from `table`, the bit table of the node and its chosen
-      parents in count_stats order: the candidates of one arity and one
-      insertion slot among the chosen parents are ANDed with it and
-      popcounted at once, and one transpose moves each candidate's axis to
-      its sorted place;
-    - a larger family within scoring.DENSE_CELLS cells extends the chosen
-      family's mixed_radix_index cell index `full` to a_c full + x_c, one
-      bincount per candidate;
-    - a family above DENSE_CELLS cells is scored by local_log_score, as is
-      every node's parentless start.
-    Every table equals count_stats' cell for cell and is summed in the same
-    order, so every score is bit-identical to local_log_score's. A batch's
-    AND holds at most m words per candidate, no more than the int64 rows.
+    parents go to the one earliest in the ordering. Each step scores its
+    candidates with scoring.extension_scores.
     """
     cfg.validate()
     if data.n_rows == 0:
@@ -88,65 +68,21 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
         raise ValidationError(
             f"ordering has {len(cfg.ordering)} entries but dataset has {n} columns"
         )
-    rows, arities, m = data.rows, data.arities, data.n_rows
-    words = -(-m // 64)
-    dense = scoring.DENSE_CELLS
     parent_sets: list[tuple[int, ...]] = [()] * n
     local_scores = [0.0] * n
     for pos, node in enumerate(order):
-        r = arities[node]
-        chosen: list[int] = []   # kept sorted
-        cells = r                # q * r of node given chosen
-        strides = [r]            # count_stats stride of a parent at each slot
-        table = data.bits(node) if data.fits_bits(cells) else None
+        chosen: tuple[int, ...] = ()   # kept sorted
         current = local_log_score(data, node, ())
         while len(chosen) < cfg.max_parents:
             cands = [c for c in order[:pos] if c not in chosen]
-            scores = [0.0] * len(cands)
-            groups: dict[tuple[int, int], list[int]] = {}  # (a_c, slot) -> i
-            full = None
-            for i, cand in enumerate(cands):
-                a = arities[cand]
-                if cells * a > dense:
-                    scores[i] = local_log_score(data, node, chosen + [cand])
-                elif data.fits_bits(cells * a):
-                    groups.setdefault((a, bisect_left(chosen, cand)), []).append(i)
-                else:
-                    if full is None:
-                        full = mixed_radix_index(rows, [node, *chosen], arities)
-                        scaled = {}  # a_c -> a_c full, once per candidate arity
-                    if a not in scaled:
-                        scaled[a] = full * a
-                    scores[i] = table_log_score(
-                        np.bincount(scaled[a] + rows[:, cand], minlength=cells * a)
-                        .reshape(-1, strides[bisect_left(chosen, cand)], a)
-                        .swapaxes(1, 2).reshape(-1, r), m)
-            for (a, slot), idx in groups.items():
-                k = len(idx)
-                both = np.concatenate([data.bits(cands[i]) for i in idx]).reshape(
-                    k, a, 1, words) & table
-                counts = np.add.reduce(np.bitwise_count(both), axis=-1, dtype=np.int64)
-                counts = counts.reshape(k, a, -1, strides[slot]).transpose(0, 2, 1, 3)
-                for i, score in zip(idx, table_log_scores(
-                        counts.reshape(k, -1, r), m).tolist()):
-                    scores[i] = score
+            scores = extension_scores(data, node, chosen, cands)
             # max keeps the first of equal scores: ties go to the earliest
             best = max(range(len(cands)), key=scores.__getitem__, default=None)
             if best is None or not scores[best] > current:
                 break
-            cand = cands[best]
-            a = arities[cand]
-            slot = bisect_left(chosen, cand)
-            if data.fits_bits(cells * a):  # cand's axis goes to its sorted place
-                table = (data.bits(cand)[:, None] & table).reshape(
-                    a, -1, strides[slot], words).transpose(1, 0, 2, 3).reshape(-1, words)
-            else:
-                table = None
-            chosen.insert(slot, cand)
-            strides = list(accumulate((arities[p] for p in chosen), mul, initial=r))
-            cells *= a
+            chosen = tuple(sorted((*chosen, cands[best])))
             current = scores[best]
-        parent_sets[node] = tuple(chosen)
+        parent_sets[node] = chosen
         local_scores[node] = current
     # added one by one in node order, as bde_log_score does, so the total
     # is bit-identical to rescoring the DAG

@@ -269,9 +269,8 @@ class Dataset:
         """The read-only (arity, ceil(m / 64)) uint64 bit table of a column,
         built on first use: bit i of row v is set when row i holds value v,
         and the padding bits past the last row are zero. scoring.count_stats
-        and baselines.k2_learn ask only for the columns of tables that
-        fits_bits admits, so no such table is larger than the int64 column
-        itself."""
+        and scoring.extension_scores ask only for the columns of tables
+        that fits_bits admits."""
         table = self._bits[column]
         if table is None:
             values = self.rows[:, column]

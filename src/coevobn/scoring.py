@@ -13,7 +13,10 @@ row; it serves as an independent oracle for the closed form.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -93,29 +96,88 @@ def _family(data: Dataset, node: int,
     return parent_set, cells
 
 
+def _bit_table(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarray:
+    """The (cells, ceil(m / 64)) row bitsets of every cell of a sorted
+    family that Dataset.fits_bits admits, in count_stats order: the child's
+    bit table ANDed with each parent's, one broadcast per parent."""
+    table = data.bits(node)
+    for p in parent_set:  # p's value becomes the slowest axis so far
+        table = (data.bits(p)[:, None] & table).reshape(-1, table.shape[1])
+    return table
+
+
 def count_stats(data: Dataset, node: int, parent_set: Sequence[int]) -> np.ndarray:
     """The dense (q, r) int64 array of counts of every (parent configuration,
     child value) cell, in mixed_radix_index order: child fastest, then the
     parents in ascending order. A table above DENSE_CELLS cells is refused.
 
-    A table that Dataset.fits_bits admits is counted from the columns' bit
-    tables (Dataset.bits): the child's table is ANDed with each parent's,
-    one broadcast per parent, and each cell's bits are popcounted. A larger
-    table tallies the rows' mixed radix index with one bincount. Both give
-    the same table."""
+    A table that Dataset.fits_bits admits popcounts each cell's row bitset
+    (_bit_table). A larger table tallies the rows' mixed radix index with
+    one bincount. Both give the same table."""
     parent_set, cells = _family(data, node, parent_set)
     if cells > DENSE_CELLS:
         raise ValidationError(f"node {node} ({data.variables[node].name}) needs a "
                               f"table of {cells} cells, above DENSE_CELLS = {DENSE_CELLS}")
     r = data.arities[node]
     if data.fits_bits(cells):
-        table = data.bits(node)
-        for p in parent_set:  # p's value becomes the slowest axis so far
-            table = (data.bits(p)[:, None] & table).reshape(-1, table.shape[1])
-        return np.add.reduce(np.bitwise_count(table), axis=1,
-                             dtype=np.int64).reshape(-1, r)
+        return np.add.reduce(np.bitwise_count(_bit_table(data, node, parent_set)),
+                             axis=1, dtype=np.int64).reshape(-1, r)
     flat = mixed_radix_index(data.rows, (node, *parent_set), data.arities)
     return np.bincount(flat, minlength=cells).reshape(-1, r)
+
+
+def extension_scores(data: Dataset, node: int, parent_set: Sequence[int],
+                     candidates: Sequence[int]) -> list[float]:
+    """local_log_score(data, node, parent_set + (c,)) of each candidate c,
+    bit for bit. Candidates must be distinct nodes outside the family,
+    which is validated as local_log_score validates it.
+
+    A candidate family that Dataset.fits_bits admits is counted with the
+    others of its arity and insertion slot: one stacked AND of their bit
+    tables with the family's (_bit_table), a popcount, and a transpose that
+    moves each candidate's axis to its sorted place. A larger one within
+    DENSE_CELLS cells extends the family's mixed_radix_index to
+    a_c index + x_c, one bincount each; one above goes to local_log_score.
+    Every table equals count_stats' and is summed in the same order."""
+    parent_set, cells = _family(data, node, parent_set)
+    rows, arities, m = data.rows, data.arities, data.n_rows
+    r = arities[node]
+    strides = list(accumulate((arities[p] for p in parent_set), mul, initial=r))
+    scores = [0.0] * len(candidates)
+    by_arity: dict[int, list[int]] = {}  # a_c -> i
+    for i, cand in enumerate(candidates):
+        by_arity.setdefault(arities[cand], []).append(i)
+    table = index = None
+    for a, idx in by_arity.items():
+        if cells * a > DENSE_CELLS:
+            for i in idx:
+                scores[i] = local_log_score(data, node, (*parent_set, candidates[i]))
+        elif data.fits_bits(cells * a):
+            if table is None:
+                table = _bit_table(data, node, parent_set)
+            slots: dict[int, list[int]] = {}  # insertion slot -> i
+            for i in idx:
+                slots.setdefault(bisect_left(parent_set, candidates[i]), []).append(i)
+            for slot, group in slots.items():
+                k = len(group)
+                both = np.concatenate([data.bits(candidates[i]) for i in group]).reshape(
+                    k, a, 1, -1) & table
+                counts = np.add.reduce(np.bitwise_count(both), axis=-1, dtype=np.int64)
+                counts = counts.reshape(k, a, -1, strides[slot]).transpose(0, 2, 1, 3)
+                for i, score in zip(group, table_log_scores(
+                        counts.reshape(k, -1, r), m).tolist()):
+                    scores[i] = score
+        else:
+            if index is None:
+                index = mixed_radix_index(rows, (node, *parent_set), arities)
+            scaled = index * a
+            for i in idx:
+                cand = candidates[i]
+                scores[i] = table_log_score(
+                    np.bincount(scaled + rows[:, cand], minlength=cells * a)
+                    .reshape(-1, strides[bisect_left(parent_set, cand)], a)
+                    .swapaxes(1, 2).reshape(-1, r), m)
+    return scores
 
 
 def _log_factorials(size: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """K2 greedy search, exhaustive enumeration, and the exact DAG counter."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -232,8 +234,8 @@ class TestK2IndexExtension:
         sparse = []
         routes = set()          # how k2_learn scored a candidate family
         real_local = baselines.local_log_score
-        real_index = baselines.table_log_score
-        real_bits = baselines.table_log_scores
+        real_index = scoring.table_log_score
+        real_bits = scoring.table_log_scores
 
         def spy_local(data, node, parents):
             sparse.append(len(parents))
@@ -242,7 +244,9 @@ class TestK2IndexExtension:
             return real_local(data, node, parents)
 
         def spy_index(counts, n_rows):
-            routes.add("index extension")
+            # local_log_score's dense branch calls table_log_score too
+            if sys._getframe(1).f_code is scoring.extension_scores.__code__:
+                routes.add("index extension")
             return real_index(counts, n_rows)
 
         def spy_bits(counts, n_rows):
@@ -250,8 +254,9 @@ class TestK2IndexExtension:
             return real_bits(counts, n_rows)
 
         monkeypatch.setattr(baselines, "local_log_score", spy_local)
-        monkeypatch.setattr(baselines, "table_log_score", spy_index)
-        monkeypatch.setattr(baselines, "table_log_scores", spy_bits)
+        monkeypatch.setattr(scoring, "local_log_score", spy_local)
+        monkeypatch.setattr(scoring, "table_log_score", spy_index)
+        monkeypatch.setattr(scoring, "table_log_scores", spy_bits)
 
         def check(data, order):
             for cap in range(4):

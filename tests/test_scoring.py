@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from coevobn import (
 )
 from coevobn.bayesnet import parent_config_count, parent_config_index
 from coevobn.encoding import masks_dag
-from coevobn.scoring import score_parent_sets, table_log_score
+from coevobn.scoring import extension_scores, score_parent_sets, table_log_score
 from helpers import (
     chain3,
     dag_masks,
@@ -176,6 +177,61 @@ class TestBatchedBde:
                 expected = [table_log_score(t, n_rows) for t in tables]
                 assert scores.tolist() == expected
                 assert scoring.table_log_scores(tables, n_rows).tolist() == expected
+
+
+class TestExtensionScores:
+    """extension_scores(data, node, ps, cands)[i] is local_log_score of
+    ps plus cands[i], bit for bit, whichever route its cells pick. With
+    DENSE_CELLS at 40, the rows on both sides of fits_bits' cut send
+    families down all three."""
+
+    def test_equals_local_log_score_on_every_route(self, monkeypatch):
+        monkeypatch.setattr(scoring, "DENSE_CELLS", 40)
+        routes = set()
+        real = {name: getattr(scoring, name)
+                for name in ("local_log_score", "table_log_score", "table_log_scores")}
+
+        def spy(name, route):
+            def call(*args):
+                if sys._getframe(1).f_code is extension_scores.__code__:
+                    routes.add(route)
+                return real[name](*args)
+            monkeypatch.setattr(scoring, name, call)
+
+        spy("local_log_score", "local_log_score")
+        spy("table_log_score", "index extension")
+        spy("table_log_scores", "bit batch")
+        inserted = set()
+        rng = np.random.default_rng(25)
+        for m in (63, 64, 65, 1000):
+            for _ in range(3):
+                arities = [int(a) for a in rng.integers(2, 6, size=7)]
+                data = dataset(arities, rng.integers(0, arities, size=(m, 7)))
+                for k in (0, 1, 2, 2, 3):
+                    node, *ps = (int(v) for v in rng.permutation(7)[:k + 1])
+                    cands = [int(v) for v in rng.permutation(7)
+                             if v != node and v not in ps]
+                    got = extension_scores(data, node, ps, cands)
+                    assert got == [local_log_score(data, node, (*ps, c)) for c in cands]
+                    for c in cands:
+                        below = sum(p < c for p in ps)
+                        inserted.add("below" if below == 0 and ps else
+                                     "above" if below == len(ps) else "between")
+        assert inserted == {"below", "between", "above"}
+        assert routes == {"bit batch", "index extension", "local_log_score"}
+
+    def test_no_candidates_give_no_scores(self):
+        data = dataset([2, 3, 2], [[0, 1, 0], [1, 2, 1]])
+        assert extension_scores(data, 0, (2,), []) == []
+
+    @pytest.mark.parametrize("node, parents", [
+        (1, (3, -1)), (1, (5, 0)), (1, (2, 1, 0)), (3, (0,))])
+    def test_invalid_family_raises_as_local_log_score(self, node, parents):
+        data = dataset([2, 2, 2], [[0, 1, 0]])
+        with pytest.raises(ValidationError) as expected:
+            local_log_score(data, node, parents)
+        with pytest.raises(ValidationError, match=re.escape(str(expected.value))):
+            extension_scores(data, node, parents, [])
 
 
 def row_wise_observed_score(data, node, parents):
