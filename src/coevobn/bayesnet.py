@@ -9,7 +9,9 @@ the scoring module relies on the exact same convention.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,22 +89,20 @@ class Dag:
     def topological_order(self) -> list[int]:
         """Return nodes in ancestor-first order (lowest index first among
         ready nodes); raise ValidationError if the graph has a cycle."""
-        remaining_parents = [set(ps) for ps in self.parents]
+        waiting = [len(ps) for ps in self.parents]  # parents not yet placed
         children: list[list[int]] = [[] for _ in range(self.n)]
         for i, ps in enumerate(self.parents):
             for p in ps:
                 children[p].append(i)
-        ready = sorted(i for i in range(self.n) if not remaining_parents[i])
+        ready = [i for i in range(self.n) if not waiting[i]]  # sorted, so a heap
         order: list[int] = []
         while ready:
-            node = ready.pop(0)
+            node = heapq.heappop(ready)
             order.append(node)
-            newly = []
             for c in children[node]:
-                remaining_parents[c].discard(node)
-                if not remaining_parents[c]:
-                    newly.append(c)
-            ready = sorted(ready + newly)
+                waiting[c] -= 1
+                if not waiting[c]:
+                    heapq.heappush(ready, c)
         if len(order) != self.n:
             raise ValidationError("graph contains a cycle; a DAG is required")
         return order
@@ -128,14 +128,6 @@ class Dag:
 
     def __repr__(self) -> str:
         return f"Dag(n={self.n}, parents={self.parents!r})"
-
-
-def parent_config_count(parents: Sequence[int], arities: Sequence[int]) -> int:
-    """Number of joint parent assignments (1 for an empty parent set)."""
-    q = 1
-    for p in parents:
-        q *= int(arities[p])
-    return q
 
 
 def parent_config_index(values: Sequence[int], parents: Sequence[int],
@@ -180,7 +172,7 @@ class BayesianNetwork:
             raise SchemaError(
                 f"graph has {dag.n} nodes but {len(variables)} variables given"
             )
-        arities = [v.arity for v in variables]
+        arities = [int(v.arity) for v in variables]  # Python ints never wrap
         tables: list[np.ndarray] = []
         for i, var in enumerate(variables):
             try:
@@ -188,7 +180,7 @@ class BayesianNetwork:
             except OverflowError:  # an integer beyond every float
                 raise ValidationError(f"CPT for {var.name!r} contains "
                                       f"probabilities outside [0, 1]") from None
-            q = parent_config_count(dag.parents[i], arities)
+            q = math.prod(arities[p] for p in dag.parents[i])
             if t.shape != (q, var.arity):
                 raise ValidationError(
                     f"CPT for {var.name!r} has shape {t.shape}; expected "
@@ -340,7 +332,8 @@ def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
     edge coin-flips at `edge_density`, per-node arity uniform in
     2..max_arity, and flat-Dirichlet CPT rows. The flips out of each
     position are one rng call, the same stream as one call per pair; a node
-    is refused as soon as a parent takes its CPT above DENSE_CELLS cells."""
+    is refused as soon as a parent takes its CPT above DENSE_CELLS cells,
+    and a network whose CPTs run out of memory is refused as a whole."""
     check_number("nodes", n, integer=True, low=1)
     check_number("max_arity", max_arity, integer=True, low=2, high=DENSE_CELLS)
     check_number("edge_density", edge_density, low=0, high=1)
@@ -368,9 +361,13 @@ def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
                 raise ValidationError(
                     f"node {child} ({variables[child].name}) needs a CPT of "
                     f"{cells[child]} cells, above DENSE_CELLS = {DENSE_CELLS}")
-    cpts = [rng.dirichlet(np.ones(r), size=cells[i] // r)
-            for i, r in enumerate(arities)]
-    return BayesianNetwork(variables, Dag(n, parents), cpts)
+    try:
+        cpts = [rng.dirichlet(np.ones(r), size=cells[i] // r)
+                for i, r in enumerate(arities)]
+        return BayesianNetwork(variables, Dag(n, parents), cpts)
+    except MemoryError:
+        raise ValidationError(f"out of memory drawing a network of {n} nodes: its "
+                              f"CPTs ask for {8 * sum(cells)} bytes") from None
 
 
 # ---------------------------------------------------------------------------
@@ -437,18 +434,19 @@ def _parse_parents(doc: dict, path, n: int) -> Dag:
     return Dag(n, raw)
 
 
-def network_json(variables: Sequence[Variable], dag: Dag, cpts=None) -> str:
-    """The text of a network file; "cpts" is null in a structure file."""
-    doc = {
-        "variables": [{"name": v.name, "arity": v.arity} for v in variables],
-        "parents": [list(ps) for ps in dag.parents],
-        "cpts": None if cpts is None else [t.tolist() for t in cpts],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+def write_network(variables: Sequence[Variable], dag: Dag, f, cpts=None) -> None:
+    """Write a network file's text to the open text file `f`, turning one
+    CPT at a time into Python floats; "cpts" is null in a structure file."""
+    json.dump({"variables": [{"name": v.name, "arity": v.arity} for v in variables],
+               "parents": [list(ps) for ps in dag.parents],
+               "cpts": None if cpts is None else list(cpts)},
+              f, indent=2, default=np.ndarray.tolist)
+    f.write("\n")
 
 
 def save_network(net: BayesianNetwork, path) -> None:
-    Path(path).write_text(network_json(net.variables, net.dag, net.cpts))
+    with open(path, "w") as f:
+        write_network(net.variables, net.dag, f, net.cpts)
 
 
 def load_network(path) -> BayesianNetwork:
@@ -476,7 +474,8 @@ def load_network(path) -> BayesianNetwork:
 
 def save_structure(variables: Sequence[Variable], dag: Dag, path) -> None:
     """Write a network file without parameters ("cpts": null)."""
-    Path(path).write_text(network_json(variables, dag))
+    with open(path, "w") as f:
+        write_network(variables, dag, f)
 
 
 def load_structure(path) -> tuple[list[Variable], Dag]:
@@ -489,10 +488,11 @@ def load_structure(path) -> tuple[list[Variable], Dag]:
 
 def write_dataset(data: Dataset, f) -> None:
     """Write a dataset file's text to the open text file `f`: a name:arity
-    header, then one line per row."""
+    header, then one line per row, SAMPLE_BLOCK rows at a time."""
     writer = csv.writer(f)
     writer.writerow([f"{v.name}:{v.arity}" for v in data.variables])
-    writer.writerows(data.rows.tolist())
+    for start in range(0, data.n_rows, SAMPLE_BLOCK):
+        writer.writerows(data.rows[start:start + SAMPLE_BLOCK].tolist())
 
 
 def save_dataset(data: Dataset, path) -> None:

@@ -19,13 +19,13 @@ from .bayesnet import (
     ancestral_sample,
     load_dataset,
     load_network,
-    network_json,
     random_network,
     read_json,
     save_dataset,
     save_network,
     save_structure,
     write_dataset,
+    write_network,
 )
 from .encoding import decode
 from .errors import (
@@ -149,7 +149,7 @@ def _cmd_random_net(args) -> int:
         save_network(net, args.out_file)
         print(f"wrote {args.out_file} ({net.n} nodes, {net.dag.edge_count} edges)")
     else:
-        sys.stdout.write(network_json(net.variables, net.dag, net.cpts))
+        write_network(net.variables, net.dag, sys.stdout, net.cpts)
     return 0
 
 

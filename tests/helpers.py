@@ -1,5 +1,6 @@
 """Shared builders for small hand-checked networks and datasets."""
 
+import json
 import math
 
 import numpy as np
@@ -76,6 +77,18 @@ def joint_probability(net, assignment):
         j = parent_config_index(assignment, net.dag.parents[i], arities)
         prob *= float(net.cpts[i][j, int(assignment[i])])
     return prob
+
+
+def reference_network_text(variables, dag, cpts=None):
+    """A network file's text from one json.dumps call over a document whose
+    CPTs are all converted to lists first: the text the streaming writer
+    must reproduce byte for byte."""
+    doc = {
+        "variables": [{"name": v.name, "arity": v.arity} for v in variables],
+        "parents": [list(ps) for ps in dag.parents],
+        "cpts": None if cpts is None else [t.tolist() for t in cpts],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def dataset(arities, rows):

@@ -1,8 +1,12 @@
 """Network representation, ancestral sampling, synthesis, and file round-trips."""
 
+import csv
+import io
+import time
 import tracemalloc
 from itertools import product
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -24,12 +28,14 @@ from coevobn import (
     save_network,
     save_structure,
 )
+from coevobn.bayesnet import SAMPLE_BLOCK, write_dataset
 from helpers import (
     binary_vars,
     chain_pair,
     dataset,
     independent_pair,
     joint_probability,
+    reference_network_text,
     single_binary,
 )
 
@@ -71,6 +77,36 @@ class TestDag:
         dag = Dag(3, [(), (0,), (0, 1)])
         assert sorted(dag.edges()) == [(0, 1), (0, 2), (1, 2)]
         assert dag.edge_count == 3
+
+    def test_order_and_cycle_verdict_match_networkx(self):
+        # random directed graphs: the order is the lowest index first among
+        # ready nodes, and a graph is refused exactly when it has a cycle
+        rng = np.random.default_rng(28)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            n = int(rng.integers(1, 25))
+            density = 0.3 * rng.random() ** 2
+            parents = [[p for p in range(n) if p != c and rng.random() < density]
+                       for c in range(n)]
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from((p, c) for c, ps in enumerate(parents) for p in ps)
+            acyclic = nx.is_directed_acyclic_graph(graph)
+            verdicts[acyclic] += 1
+            if acyclic:
+                assert Dag(n, parents).topological_order() == \
+                    list(nx.lexicographical_topological_sort(graph))
+            else:
+                with pytest.raises(ValidationError, match="graph contains a cycle"):
+                    Dag(n, parents)
+        assert verdicts[True] >= 200 and verdicts[False] >= 200
+
+    def test_50000_parentless_nodes_build_promptly(self):
+        # a sort that re-sorts the ready list after every pop takes over 15 s
+        start = time.perf_counter()
+        dag = Dag(50_000, [()] * 50_000)
+        assert time.perf_counter() - start < 2.0
+        assert dag.topological_order() == list(range(50_000))
 
 
 class TestVariables:
@@ -234,6 +270,35 @@ class TestNetworkIO:
         for ta, tb in zip(loaded.cpts, net.cpts):
             assert np.max(np.abs(ta - tb)) < 1e-12
 
+    def test_files_equal_the_one_shot_text(self, tmp_path):
+        for seed in range(8):
+            net = random_network(6, 2 + seed, 0.5, seed=seed)
+            save_network(net, tmp_path / "net.json")
+            save_structure(net.variables, net.dag, tmp_path / "structure.json")
+            assert (tmp_path / "net.json").read_bytes().decode() == \
+                reference_network_text(net.variables, net.dag, net.cpts)
+            assert (tmp_path / "structure.json").read_bytes().decode() == \
+                reference_network_text(net.variables, net.dag)
+
+    def test_cpts_are_written_one_at_a_time(self, tmp_path):
+        # four CPTs of 2**13 cells; as Python floats each takes 256 KiB
+        rng = np.random.default_rng(3)
+        net = BayesianNetwork([Variable(f"X{i + 1}", 1 << 13) for i in range(4)],
+                              Dag(4, [()] * 4),
+                              [rng.dirichlet(np.ones(1 << 13), size=1)
+                               for _ in range(4)])
+        tracemalloc.start()
+        try:
+            table = net.cpts[0].tolist()
+            table_bytes = tracemalloc.get_traced_memory()[0]
+            del table
+            tracemalloc.reset_peak()
+            save_network(net, tmp_path / "net.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table_bytes
+
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"variables": [}')
@@ -281,6 +346,34 @@ class TestDatasetIO:
         assert np.array_equal(loaded.rows, data.rows)
         assert [(v.name, v.arity) for v in loaded.variables] == \
             [(v.name, v.arity) for v in data.variables]
+
+    @pytest.mark.parametrize("m", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
+                                   SAMPLE_BLOCK + 1])
+    def test_text_equals_one_writerows(self, m):
+        rows = np.random.default_rng(m).integers(0, [2, 3, 5], size=(m, 3))
+        data = dataset([2, 3, 5], rows)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["X1:2", "X2:3", "X3:5"])
+        writer.writerows(rows.tolist())
+        text = io.StringIO()
+        write_dataset(data, text)
+        assert text.getvalue() == expected.getvalue()
+
+    def test_rows_are_written_one_block_at_a_time(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bayesnet, "SAMPLE_BLOCK", 1 << 13)
+        data = dataset([2] * 4, np.zeros((4 << 13, 4), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            block = data.rows[:1 << 13].tolist()
+            block_bytes = tracemalloc.get_traced_memory()[0]
+            del block
+            tracemalloc.reset_peak()
+            save_dataset(data, tmp_path / "data.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block_bytes
 
     def test_cell_out_of_range_is_validation_error(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -32,8 +32,14 @@ from coevobn import (
     scoring,
 )
 from coevobn.baselines import COUNT_LIMIT, count_dags
+from coevobn.bayesnet import SAMPLE_BLOCK
 from coevobn.cli import cli_main
-from helpers import chain3, distinct_parent_rows, reference_local_score
+from helpers import (
+    chain3,
+    distinct_parent_rows,
+    reference_local_score,
+    reference_network_text,
+)
 
 
 def run(capsys, *argv):
@@ -243,6 +249,25 @@ class TestPipeline:
         assert out == data.read_bytes().decode()
         assert out.split("\r\n")[0] == "X1:2,X2:2,X3:2" and out.count("\r\n") == 5
 
+    def test_stdout_equals_the_file_past_a_row_block(self, capsys, tmp_path):
+        net = tmp_path / "net.json"
+        data = tmp_path / "data.csv"
+        args = ["random-net", "--nodes", "5", "--max-arity", "4", "--density",
+                "0.5", "--seed", "2"]
+        run(capsys, *args, "--out-file", str(net))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        expected = random_network(5, 4, 0.5, 2)
+        assert out == net.read_bytes().decode() == reference_network_text(
+            expected.variables, expected.dag, expected.cpts)
+        args = ["sample", "--net", str(net), "--rows", str(SAMPLE_BLOCK + 1),
+                "--seed", "3"]
+        run(capsys, *args, "--out-file", str(data))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == data.read_bytes().decode()
+        assert out.count("\r\n") == SAMPLE_BLOCK + 2
+
     def test_appending_stdout_keeps_the_file(self, tmp_path):
         net = tmp_path / "net.json"
         cli_main(["random-net", "--nodes", "3", "--seed", "1",
@@ -388,6 +413,21 @@ class TestHugeArity:
         best = proc.stdout.splitlines()[0].removeprefix("best_score=")
         _, dag = load_structure(tmp_path / "k2" / "k2_structure.json")
         assert best == f"{bde_log_score(data, dag):.6f}"
+
+    def test_random_net_whose_cpts_do_not_fit_is_usage_error(self, tmp_path):
+        # 100 parentless nodes of up to DENSE_CELLS values: their CPTs alone
+        # ask for about 1.6 GB, so drawing them runs out of the 2 GiB
+        rng = np.random.default_rng(1)
+        rng.permutation(100)  # random_network draws the ordering first
+        cpt_bytes = 8 * int(rng.integers(2, scoring.DENSE_CELLS + 1, size=100).sum())
+        proc = self.capped("random-net", "--nodes", 100, "--max-arity",
+                           scoring.DENSE_CELLS, "--density", 0, "--seed", 1,
+                           "--out-file", tmp_path / "net.json")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (f"network of 100 nodes: its CPTs ask for {cpt_bytes} bytes"
+                in proc.stderr)
+        assert not (tmp_path / "net.json").exists()
 
 
 class TestMalformedNetworkFile:

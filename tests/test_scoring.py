@@ -26,7 +26,7 @@ from coevobn import (
     prequential_log_score,
     save_dataset,
 )
-from coevobn.bayesnet import parent_config_count, parent_config_index
+from coevobn.bayesnet import parent_config_index
 from coevobn.encoding import masks_dag
 from coevobn.scoring import extension_scores, score_parent_sets, table_log_score
 from helpers import (
@@ -90,7 +90,7 @@ class TestCountStats:
 def reference_counts(data, node, parents):
     """The dense (q, r) tally built row by row with parent_config_index."""
     arities = data.arities
-    counts = np.zeros((parent_config_count(parents, arities), arities[node]),
+    counts = np.zeros((math.prod(arities[p] for p in parents), arities[node]),
                       dtype=np.int64)
     for row in data.rows.tolist():
         counts[parent_config_index(row, parents, arities), row[node]] += 1
@@ -268,7 +268,7 @@ class TestObservedConfigurationFallback:
         for _ in range(100):
             data, node, parents = random_family(rng, 8, 5, 60)
             ps = sorted(parents)
-            cells = parent_config_count(ps, data.arities) * data.arities[node]
+            cells = math.prod(data.arities[p] for p in ps) * data.arities[node]
             with pytest.raises(ValidationError, match=f"node {node} .*{cells} cells"):
                 count_stats(data, node, parents)
             assert local_log_score(data, node, parents) == \
