@@ -10,23 +10,29 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ValidationError, check_number
+from .errors import (
+    ParseError,
+    SchemaError,
+    ValidationError,
+    check_number,
+    refuse_out_of_memory,
+)
 
 ROW_SUM_TOL = 1e-9   # every CPT row must sum to 1 within this
 
 # Largest dense table of q * r cells: the largest CPT random_network draws,
 # and the largest count table scoring.count_stats tallies densely.
 DENSE_CELLS = 1 << 22
-SAMPLE_BLOCK = 1 << 16   # rows ancestral_sample draws per node at a time
+SAMPLE_BLOCK = 1 << 16   # rows sampled, written or parsed at a time
 
 
 @dataclass(frozen=True)
@@ -305,12 +311,8 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
     check_number("seed", seed, integer=True, low=0)
     rng = np.random.default_rng(seed)
     arities = net.arities
-    too_big = ValidationError(
-        f"out of memory sampling {count} rows of {net.n} values: their "
-        f"int64 table alone asks for {count * net.n * 8} bytes")
-    if count * net.n * 8 > sys.maxsize:  # numpy refuses it with a ValueError
-        raise too_big
-    try:
+    with refuse_out_of_memory(f"sampling {count} rows of {net.n} values: their "
+                              f"int64 table alone asks for", count * net.n * 8):
         values = np.zeros((count, net.n), dtype=np.int64, order="F")
         for i in net.dag.topological_order():
             cdf = np.cumsum(net.cpts[i], axis=1)
@@ -322,8 +324,6 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
                 u = rng.random(block.shape[0])
                 block[:, i] = (u[:, None] >= cdf[rows]).sum(axis=1)
         return Dataset._adopt(net.variables, values)
-    except MemoryError:
-        raise too_big from None
 
 
 def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
@@ -338,19 +338,14 @@ def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
     check_number("max_arity", max_arity, integer=True, low=2, high=DENSE_CELLS)
     check_number("edge_density", edge_density, low=0, high=1)
     check_number("seed", seed, integer=True, low=0)
-    too_big = ValidationError(f"out of memory drawing a network of {n} nodes: its "
-                              f"ordering and arities alone ask for {n * 16} bytes")
-    if n * 16 > sys.maxsize:  # numpy refuses it with a ValueError
-        raise too_big
     rng = np.random.default_rng(seed)
-    try:
+    with refuse_out_of_memory(f"drawing a network of {n} nodes: its ordering and "
+                              f"arities alone ask for", n * 16):
         order = rng.permutation(n).tolist()
         arities = rng.integers(2, max_arity + 1, size=n).tolist()
         variables = [Variable(f"X{i + 1}", a) for i, a in enumerate(arities)]
         cells = list(arities)  # q * r of each node given the parents drawn so far
         parents: list[list[int]] = [[] for _ in range(n)]
-    except MemoryError:
-        raise too_big from None
     for s in range(n - 1):
         parent = order[s]
         for t in np.flatnonzero(rng.random(n - 1 - s) < edge_density).tolist():
@@ -361,13 +356,11 @@ def random_network(n: int, max_arity: int = 2, edge_density: float = 0.2,
                 raise ValidationError(
                     f"node {child} ({variables[child].name}) needs a CPT of "
                     f"{cells[child]} cells, above DENSE_CELLS = {DENSE_CELLS}")
-    try:
+    with refuse_out_of_memory(f"drawing a network of {n} nodes: its CPTs ask for",
+                              8 * sum(cells)):
         cpts = [rng.dirichlet(np.ones(r), size=cells[i] // r)
                 for i, r in enumerate(arities)]
         return BayesianNetwork(variables, Dag(n, parents), cpts)
-    except MemoryError:
-        raise ValidationError(f"out of memory drawing a network of {n} nodes: its "
-                              f"CPTs ask for {8 * sum(cells)} bytes") from None
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +394,7 @@ def _is_number(value, integer: bool = False) -> bool:
         isinstance(value, int if integer else (int, float))
 
 
-def _parse_variables(doc: dict, path) -> list[Variable]:
+def _parse_structure(doc: dict, path) -> tuple[list[Variable], Dag]:
     raw = doc.get("variables")
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{path}: field 'variables' must be a non-empty list")
@@ -418,10 +411,7 @@ def _parse_variables(doc: dict, path) -> list[Variable]:
             raise ParseError(f"{path}: variables[{k}].arity must be an integer, "
                              f"got {entry['arity']!r}")
         variables.append(Variable(entry["name"], entry["arity"]))
-    return variables
-
-
-def _parse_parents(doc: dict, path, n: int) -> Dag:
+    n = len(variables)
     raw = doc.get("parents")
     if not isinstance(raw, list) or len(raw) != n:
         raise ParseError(
@@ -431,7 +421,7 @@ def _parse_parents(doc: dict, path, n: int) -> Dag:
         if not isinstance(ps, list) or not all(_is_number(p, integer=True) for p in ps):
             raise ParseError(f"{path}: parents[{k}] must be a list of node indices, "
                              f"got {ps!r}")
-    return Dag(n, raw)
+    return variables, Dag(n, raw)
 
 
 def write_network(variables: Sequence[Variable], dag: Dag, f, cpts=None) -> None:
@@ -451,8 +441,7 @@ def save_network(net: BayesianNetwork, path) -> None:
 
 def load_network(path) -> BayesianNetwork:
     doc = read_json(path)
-    variables = _parse_variables(doc, path)
-    dag = _parse_parents(doc, path, len(variables))
+    variables, dag = _parse_structure(doc, path)
     cpts = doc.get("cpts")
     if cpts is None:
         raise ParseError(
@@ -480,10 +469,7 @@ def save_structure(variables: Sequence[Variable], dag: Dag, path) -> None:
 
 def load_structure(path) -> tuple[list[Variable], Dag]:
     """Read variables and graph from a network file, ignoring any CPTs."""
-    doc = read_json(path)
-    variables = _parse_variables(doc, path)
-    dag = _parse_parents(doc, path, len(variables))
-    return variables, dag
+    return _parse_structure(read_json(path), path)
 
 
 def write_dataset(data: Dataset, f) -> None:
@@ -501,43 +487,50 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset file's bytes once (a pipe works) and parse them twice:
+    count the non-empty records, then check SAMPLE_BLOCK of them at a time
+    as a Dataset into the column-major table the dataset takes over."""
     try:
-        with open(path, "r", newline="") as f:
-            reader = csv.reader(f)
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read file: {exc}") from exc
+    try:
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file; expected a header row")
+        variables = []
+        for k, field in enumerate(header):
+            name, sep, arity = field.partition(":")
+            if not sep or not name:
+                raise ParseError(f"{path} line 1 field {k + 1}: expected "
+                                 f"'name:arity', got {field!r}")
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file; expected a header row") from None
-            variables = []
-            for k, field in enumerate(header):
-                name, sep, arity = field.partition(":")
-                if not sep or not name:
-                    raise ParseError(
-                        f"{path} line 1 field {k + 1}: expected 'name:arity', got {field!r}"
-                    )
-                try:
-                    variables.append(Variable(name, int(arity)))
-                except ValueError:
-                    raise ParseError(
-                        f"{path} line 1 field {k + 1}: arity {arity!r} is not an integer"
-                    ) from None
-            rows = []
+                variables.append(Variable(name, int(arity)))
+            except ValueError:
+                raise ParseError(f"{path} line 1 field {k + 1}: arity {arity!r} "
+                                 f"is not an integer") from None
+        m, n = sum(map(bool, reader)), len(variables)
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline=""))
+        next(reader)
+        with refuse_out_of_memory(f"reading {m} rows of {n} values: their int64 "
+                                  f"table alone asks for", m * n * 8):
+            table = np.zeros((m, n), dtype=np.int64, order="F")
+            block, start = [], 0
             for lineno, record in enumerate(reader, start=2):
                 if not record:
                     continue
-                if len(record) != len(variables):
-                    raise ParseError(
-                        f"{path} line {lineno}: expected {len(variables)} fields, "
-                        f"got {len(record)}"
-                    )
+                if len(record) != n:
+                    raise ParseError(f"{path} line {lineno}: expected {n} fields, "
+                                     f"got {len(record)}")
                 try:
-                    rows.append([int(cell) for cell in record])
+                    block.append(tuple(map(int, record)))
                 except ValueError:
-                    raise ParseError(
-                        f"{path} line {lineno}: non-integer cell in {record!r}"
-                    ) from None
+                    raise ParseError(f"{path} line {lineno}: non-integer cell in "
+                                     f"{record!r}") from None
+                if len(block) == SAMPLE_BLOCK or start + len(block) == m:
+                    table[start:start + len(block)] = Dataset(variables, block).rows
+                    block, start = [], start + len(block)
     except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: NUL before 3.11
         raise ParseError(f"{path}: not a UTF-8 CSV file: {exc}") from None
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
-    return Dataset(variables, rows)
+    return Dataset._adopt(variables, table)

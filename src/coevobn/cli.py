@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: random-net, sample, score, learn-ccga, learn-k2, compare,
-enumerate, count-dags. Exit codes: 0 success, 1 runtime failure,
-2 usage/validation error.
+enumerate, count-dags. Exit codes: 0 success, 1 runtime failure or other OS
+error, 2 usage/validation error or an output path the user got wrong.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .evolution import GaConfig, evolve, trace_csv
 from .harness import ExperimentConfig, run_comparison, score_structure
 from .scoring import fit_network
 
-USAGE_ERRORS = (ValidationError, ParseError, SchemaError, EmptyDataError,
-                FileNotFoundError)
+USAGE_ERRORS = (ValidationError, ParseError, SchemaError, EmptyDataError, FileNotFoundError,
+                FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -250,7 +250,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CoevoBnError as exc:
+    except (CoevoBnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package, and the config checks
-that raise ValidationError."""
+"""Exception hierarchy shared across the package, the config checks that
+raise ValidationError, and the one refusal of work that cannot be held."""
 
 import dataclasses
 import numbers
+import sys
+from contextlib import contextmanager
 
 
 class CoevoBnError(Exception):
@@ -31,6 +33,19 @@ class EncodingError(CoevoBnError):
 
 class EngineError(CoevoBnError):
     """The evolution engine was driven outside its contract."""
+
+
+@contextmanager
+def refuse_out_of_memory(what: str, need: int):
+    """Refuse with ValidationError "out of memory <what> <need> bytes" a block
+    that runs out of memory, or whose `need` bytes pass sys.maxsize."""
+    too_big = ValidationError(f"out of memory {what} {need} bytes")
+    if need > sys.maxsize:
+        raise too_big
+    try:
+        yield
+    except MemoryError:
+        raise too_big from None
 
 
 def check_number(name: str, value, integer: bool = False, low=None,

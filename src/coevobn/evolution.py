@@ -14,7 +14,6 @@ operators, for the binary species.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -22,7 +21,13 @@ import numpy as np
 
 from .bayesnet import Dataset
 from .encoding import decode_parents, triangular_index, triangular_size
-from .errors import EmptyDataError, EngineError, ValidationError, check_number
+from .errors import (
+    EmptyDataError,
+    EngineError,
+    ValidationError,
+    check_number,
+    refuse_out_of_memory,
+)
 from .scoring import LocalScoreCache, score_parent_sets
 
 
@@ -307,18 +312,12 @@ def evolve(data: Dataset, cfg: GaConfig
     Deterministic given (data, cfg.seed): evaluation is sequential and
     draws from the same rng as the operators. Operators and scorer are read
     from this module's attributes at call time, so they can be wrapped.
-    Two species whose genes alone, population_size * (8n + E) bytes, pass
-    sys.maxsize are refused before set-up; a set-up out of memory too."""
+    Two species whose genes alone, population_size * (8n + E) bytes, cannot
+    be held are refused before or during set-up (refuse_out_of_memory)."""
     cfg.validate()
     if data.n_rows == 0:
         raise EmptyDataError("cannot evolve structures on a dataset with no rows")
     n, E = data.n_cols, triangular_size(data.n_cols)
-    need = cfg.population_size * (8 * n + E)  # a pointer per node, a byte per bit
-    too_big = ValidationError(
-        f"out of memory setting up two species of population_size = {cfg.population_size} "
-        f"over {n} nodes and {E} edge bits: their genes alone ask for {need} bytes")
-    if need > sys.maxsize:
-        raise too_big
     cache = LocalScoreCache(data)
     p_mb = cfg.p_mb if cfg.p_mb is not None else (1.0 / E if E else 0.0)
     rng = np.random.default_rng(cfg.seed)
@@ -340,11 +339,12 @@ def evolve(data: Dataset, cfg: GaConfig
     two_point = partial(two_point_crossover, rng=rng)
     flip = partial(bit_flip_mutation, p_mb=p_mb, rng=rng)
     trace = ConvergenceTrace([])
-    try:
+    with refuse_out_of_memory(  # a pointer per node and a byte per bit
+            f"setting up two species of population_size = {cfg.population_size} "
+            f"over {n} nodes and {E} edge bits: their genes alone ask for",
+            cfg.population_size * (8 * n + E)):
         perm_pop = init_permutation_pop(n, cfg.population_size, rng)
         bit_pop = init_binary_pop(n, cfg.population_size, rng)
-    except MemoryError:
-        raise too_big from None
     # Both species are scored before either has fitness, so generation 0
     # pairs every member with a random partner only.
     perm_fit = evaluate(perm_pop, bit_pop, None, score_pair, rng)

@@ -259,12 +259,15 @@ def score_parent_sets(masks: Sequence[int], cache: LocalScoreCache) -> float:
     return total
 
 
+def _check_schema(data: Dataset, dag: Dag) -> None:
+    if dag.n != data.n_cols:
+        raise SchemaError(f"structure has {dag.n} nodes but dataset has "
+                          f"{data.n_cols} columns")
+
+
 def bde_log_score(data: Dataset, dag: Dag) -> float:
     """Log marginal likelihood of the data under the structure."""
-    if dag.n != data.n_cols:
-        raise SchemaError(
-            f"structure has {dag.n} nodes but dataset has {data.n_cols} columns"
-        )
+    _check_schema(data, dag)
     total = 0.0
     for node, parents in enumerate(dag.parents):
         total += local_log_score(data, node, parents)
@@ -279,10 +282,7 @@ def prequential_log_score(data: Dataset, dag: Dag) -> float:
     Mathematically identical to bde_log_score, but shares no code path
     with the closed form.
     """
-    if dag.n != data.n_cols:
-        raise SchemaError(
-            f"structure has {dag.n} nodes but dataset has {data.n_cols} columns"
-        )
+    _check_schema(data, dag)
     if data.n_rows == 0:
         raise EmptyDataError(
             "dataset has no rows; scores over an empty dataset do not rank structures"
@@ -307,10 +307,7 @@ def prequential_log_score(data: Dataset, dag: Dag) -> float:
 def fit_network(data: Dataset, dag: Dag) -> BayesianNetwork:
     """Fill a structure with posterior-mean CPTs from the data counts:
     (a + N_ijk) / (r_i a + N_ij) per cell, a = PSEUDO_COUNT."""
-    if dag.n != data.n_cols:
-        raise SchemaError(
-            f"structure has {dag.n} nodes but dataset has {data.n_cols} columns"
-        )
+    _check_schema(data, dag)
     a = PSEUDO_COUNT
     cpts = []
     for i in range(dag.n):

@@ -375,6 +375,56 @@ class TestDatasetIO:
             tracemalloc.stop()
         assert peak < 2 * block_bytes
 
+    @pytest.mark.parametrize("m", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
+                                   SAMPLE_BLOCK + 1])
+    def test_read_back_past_blank_lines_is_the_rows_written(self, tmp_path, m):
+        rows = np.random.default_rng(m).integers(0, [2, 3, 5], size=(m, 3))
+        lines = [",".join(map(str, row)) for row in rows.tolist()]
+        for at in sorted({0, m // 2, m - 1, m}, reverse=True):
+            lines.insert(at, "")  # first, half-way, before the last row and last
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(["X1:2,X2:3,X3:5", *lines, ""]))
+        loaded = load_dataset(path)
+        assert loaded.rows.flags.f_contiguous
+        assert np.array_equal(loaded.rows, rows)
+
+    @pytest.mark.parametrize("cell, error, message", [
+        ("x", ParseError, "line {line}: non-integer cell"),
+        (None, ParseError, "line {line}: expected 2 fields, got 1"),
+        ("99999999999999999999", ValidationError,
+         "column 'b' contains value 99999999999999999999"),
+    ], ids=["non-integer", "short-row", "beyond-int64"])
+    def test_bad_cell_past_the_first_block_is_named(self, tmp_path, cell, error,
+                                                    message):
+        lines = ["a:2,b:2"] + ["0,1"] * (SAMPLE_BLOCK + 5)
+        line = SAMPLE_BLOCK + 3  # 1-based, in the second block of rows
+        lines[line - 1] = "0" if cell is None else f"0,{cell}"
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error, match=message.format(line=line)):
+            load_dataset(path)
+
+    def test_rows_are_read_into_one_table_a_block_at_a_time(self, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.setattr(bayesnet, "SAMPLE_BLOCK", 1 << 13)
+        # values past 256 are int objects of their own, in a list or a tuple
+        rows = np.random.default_rng(3).integers(0, 1000, size=(8 << 13, 4))
+        path = tmp_path / "data.csv"
+        save_dataset(dataset([1000] * 4, rows), path)
+        tracemalloc.start()
+        try:
+            block = rows[:1 << 13].tolist()
+            block_bytes = tracemalloc.get_traced_memory()[0]
+            del block
+            tracemalloc.reset_peak()
+            loaded = load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.rows, rows)
+        # a list per row would take four blocks' lists beyond this bound
+        assert peak < rows.nbytes + path.stat().st_size + 2 * block_bytes
+
     def test_cell_out_of_range_is_validation_error(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("A:2,B:2\n0,1\n0,2\n")

@@ -12,6 +12,7 @@ import time
 import traceback
 from decimal import Decimal
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from coevobn import (
     save_structure,
     scoring,
 )
-from coevobn.baselines import COUNT_LIMIT, count_dags
+from coevobn.baselines import COUNT_LIMIT, ENUMERATION_LIMIT, count_dags
 from coevobn.bayesnet import SAMPLE_BLOCK
 from coevobn.cli import cli_main
 from helpers import (
@@ -164,6 +165,42 @@ class TestUsageErrors:
         assert code == 2
         assert "cannot read file" in err
 
+    @pytest.mark.parametrize("argv, target", [
+        (["random-net", "--nodes", "3", "--out-file", "{dir}"], "dir"),
+        (["sample", "--net", "{net}", "--rows", "5", "--out-file", "{dir}"], "dir"),
+        (["enumerate", "--data", "{data}", "--out-file", "{dir}"], "dir"),
+        (["learn-k2", "--data", "{data}", "--out", "{file}"], "file"),
+        (["learn-ccga", "--data", "{data}", "--config", "{cfg}", "--out", "{file}"],
+         "file"),
+        (["compare", "--config", "{cmp}", "--out", "{file}"], "file"),
+    ], ids=["random-net", "sample", "enumerate", "learn-k2", "learn-ccga", "compare"])
+    def test_unusable_output_path_is_usage_error(self, capsys, tmp_path, argv,
+                                                 target):
+        paths = {name: tmp_path / name for name in
+                 ("net", "data", "cfg", "cmp", "dir", "file")}
+        run(capsys, "random-net", "--nodes", "3", "--out-file", str(paths["net"]))
+        run(capsys, "sample", "--net", str(paths["net"]), "--rows", "20",
+            "--out-file", str(paths["data"]))
+        paths["cfg"].write_text('{"generations": 1, "population_size": 4}')
+        paths["cmp"].write_text(json.dumps({
+            "generator": {"nodes": 3}, "sample_sizes": [20], "runs": 1,
+            "ga": {"generations": 1, "population_size": 4}}))
+        paths["dir"].mkdir()
+        paths["file"].write_text("kept\n")
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(paths[target]) in err
+        assert list(paths["dir"].iterdir()) == []
+        assert paths["file"].read_text() == "kept\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_other_os_error_exits_1_without_a_traceback(self, capsys):
+        code, _, err = run(capsys, "random-net", "--nodes", "3",
+                           "--out-file", "/dev/full")
+        assert code == 1
+        assert err.startswith("error: ") and "No space left" in err
+
 
 class TestPipeline:
     def test_generate_sample_score_learn(self, capsys, tmp_path):
@@ -267,6 +304,18 @@ class TestPipeline:
         assert code == 0
         assert out == data.read_bytes().decode()
         assert out.count("\r\n") == SAMPLE_BLOCK + 2
+
+    def test_learn_k2_reads_the_data_from_a_pipe(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        save_dataset(ancestral_sample(random_network(5, 3, 0.4, 2), 300, 3), data)
+        code, out, _ = run(capsys, "learn-k2", "--data", str(data), "--seed", "4")
+        assert code == 0 and out.startswith("best_score=")
+        proc = subprocess.run(
+            [sys.executable, "-m", "coevobn.cli", "learn-k2", "--data", "/dev/stdin",
+             "--seed", "4"], input=data.read_bytes(), env=capped_env(),
+            capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode() == out
 
     def test_appending_stdout_keeps_the_file(self, tmp_path):
         net = tmp_path / "net.json"
@@ -750,35 +799,26 @@ def _overrun(signum, frame):
     raise _Overrun
 
 
-def fuzz_sizes(seed, cases, workdir, seconds=20):
-    """Feed `cases` seeded size requests to `random-net`, `learn-ccga` and
-    `compare` through cli_main in this process: node counts, arities and
-    population sizes that are small, at the bound the request is checked
-    against, and past it. Print one JSON object: the exit codes seen and
-    every case that exited other than 0 or 2, printed a traceback or ran
-    past `seconds`."""
-    rng = np.random.default_rng(seed)
-    work = Path(workdir)
-    data = ancestral_sample(random_network(5, 3, 0.4, 1), 30, 1)
-    save_dataset(data, work / "data.csv")
+def _size_requests(rng, cases, work):
+    """`cases` seeded size requests to `random-net`, `learn-ccga` and
+    `compare`: node counts, arities and population sizes that are small, at
+    the bound the request is checked against, and past it."""
     node_bound = sys.maxsize // 16  # random_network's ordering and arities
     pop_bound = sys.maxsize // (8 * 5 + 10)  # two species over 5 nodes, 10 bits
     nodes = [1, 2, 3, node_bound, node_bound + 1, 10 ** 12, 10 ** 20]
     arities = [2, 3, 5, scoring.DENSE_CELLS, scoring.DENSE_CELLS + 1, 10 ** 20]
     populations = [2, 4, 10, pop_bound - pop_bound % 2,
                    pop_bound + 2 - pop_bound % 2, 2 ** 62, 10 ** 30]
-    exits, failures = {}, []
-    signal.signal(signal.SIGALRM, _overrun)
     for case in range(cases):
         config = work / f"config{case}.json"
         if case % 3 == 0:
-            argv = ["random-net", "--nodes", _pick(rng, nodes), "--max-arity",
-                    _pick(rng, arities), "--seed", int(rng.integers(1000)),
-                    "--out-file", work / f"net{case}.json"]
+            yield ["random-net", "--nodes", _pick(rng, nodes), "--max-arity",
+                   _pick(rng, arities), "--seed", int(rng.integers(1000)),
+                   "--out-file", work / f"net{case}.json"]
         elif case % 3 == 1:
             config.write_text(json.dumps(
                 {"generations": 2, "population_size": _pick(rng, populations)}))
-            argv = ["learn-ccga", "--data", work / "data.csv", "--config", config]
+            yield ["learn-ccga", "--data", work / "data.csv", "--config", config]
         else:
             config.write_text(json.dumps({
                 "generator": {"nodes": int(rng.integers(2, 4)),
@@ -786,7 +826,44 @@ def fuzz_sizes(seed, cases, workdir, seconds=20):
                               "seed": int(rng.integers(1000))},
                 "sample_sizes": [20], "runs": 2,
                 "ga": {"generations": 2, "population_size": 4}}))
-            argv = ["compare", "--config", config, "--out", work / f"cmp{case}"]
+            yield ["compare", "--config", config, "--out", work / f"cmp{case}"]
+
+
+def _count_requests(rng, cases, work):
+    """`cases` seeded node counts for `enumerate` and `count-dags`: around
+    ENUMERATION_LIMIT and COUNT_LIMIT, and 0, -1 and 10**20. `enumerate`
+    gets them as a dataset's columns, clamped to 0..COUNT_LIMIT + 1."""
+    counts = [0, -1, 1, ENUMERATION_LIMIT - 1, ENUMERATION_LIMIT,
+              ENUMERATION_LIMIT + 1, COUNT_LIMIT - 1, COUNT_LIMIT, COUNT_LIMIT + 1,
+              10 ** 20]
+    for case in range(cases):
+        n = _pick(rng, counts)
+        if case % 2 == 0:
+            columns = min(max(n, 0), COUNT_LIMIT + 1)
+            data = work / f"count{case}.csv"
+            data.write_text("\n".join(
+                [",".join(f"X{i}:2" for i in range(columns))]
+                + [",".join(map(str, row))
+                   for row in rng.integers(0, 2, size=(30, columns)).tolist()]) + "\n")
+            yield ["enumerate", "--data", data]
+        else:
+            yield ["count-dags", n]
+
+
+def fuzz_sizes(seed, cases, count_cases, workdir, seconds=20):
+    """Feed `cases` seeded size requests (_size_requests) and then
+    `count_cases` node counts from their own generator (_count_requests)
+    through cli_main in this process. Print one JSON object: the exit codes
+    seen and every case that exited other than 0 or 2, printed a traceback
+    or ran past `seconds`."""
+    work = Path(workdir)
+    data = ancestral_sample(random_network(5, 3, 0.4, 1), 30, 1)
+    save_dataset(data, work / "data.csv")
+    requests = chain(_size_requests(np.random.default_rng(seed), cases, work),
+                     _count_requests(np.random.default_rng(seed + 1), count_cases, work))
+    exits, failures = {}, []
+    signal.signal(signal.SIGALRM, _overrun)
+    for argv in requests:
         argv = [str(arg) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         start = time.monotonic()
@@ -824,15 +901,15 @@ class TestFuzz:
         assert result["exits"]["0"] > 0 and result["exits"]["2"] > 0
 
     def test_oversized_requests_exit_0_or_2_promptly(self, tmp_path):
-        cases = 45
+        cases, count_cases = 45, 12
         code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
                 f"from test_cli import fuzz_sizes; "
-                f"fuzz_sizes(11, {cases}, {str(tmp_path)!r})")
+                f"fuzz_sizes(11, {cases}, {count_cases}, {str(tmp_path)!r})")
         proc = subprocess.run([sys.executable, "-c", code], env=capped_env(),
                               preexec_fn=cap_address_space, capture_output=True,
                               text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["failures"] == []
-        assert sum(result["exits"].values()) == cases
+        assert sum(result["exits"].values()) == cases + count_cases
         assert result["exits"]["0"] > 0 and result["exits"]["2"] > 0
