@@ -122,7 +122,7 @@ def _enumerate_masks(n: int) -> Iterator[tuple[int, ...]]:
             f"{ENUMERATION_LIMIT + 1}); limit is {ENUMERATION_LIMIT}"
         )
     E = triangular_size(n)
-    masks = [[(mask >> b) & 1 for b in range(E)] for mask in range(1 << E)]
+    masks = [bytes((mask >> b) & 1 for b in range(E)) for mask in range(1 << E)]
     seen: set[tuple[int, ...]] = set()
     for order in permutations(range(n)):
         for bits in masks:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,36 +60,37 @@ def check_variables(variables: Sequence[Variable]) -> None:
                                   f"arity must lie in 2..DENSE_CELLS = {DENSE_CELLS}")
 
 
+@dataclass(frozen=True, slots=True)
 class Dag:
     """Directed acyclic graph over nodes 0..n-1, stored as one sorted parent
-    tuple per node. Construction validates acyclicity by topological sort."""
+    tuple per node, made from any iterables of parent indices. Construction
+    validates acyclicity by topological sort."""
 
-    __slots__ = ("n", "parents")
+    n: int
+    parents: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n: int, parents: Iterable[Iterable[int]]):
-        norm = tuple(tuple(sorted({int(p) for p in ps})) for ps in parents)
+    def __post_init__(self):
+        n = self.n
+        norm = tuple(tuple(sorted({int(p) for p in ps})) for ps in self.parents)
         if len(norm) != n:
-            raise ValidationError(
-                f"expected one parent set per node ({n}), got {len(norm)}"
-            )
+            raise ValidationError(f"expected one parent set per node ({n}), "
+                                  f"got {len(norm)}")
         for i, ps in enumerate(norm):
             for p in ps:
                 if p == i:
                     raise ValidationError(f"node {i} lists itself as a parent")
                 if not 0 <= p < n:
-                    raise ValidationError(
-                        f"node {i} has parent index {p} outside 0..{n - 1}"
-                    )
-        self.n = n
-        self.parents = norm
+                    raise ValidationError(f"node {i} has parent index {p} "
+                                          f"outside 0..{n - 1}")
+        object.__setattr__(self, "parents", norm)
         self.topological_order()  # raises on cycles
 
     @classmethod
     def _unchecked(cls, n: int, parents: tuple[tuple[int, ...], ...]) -> "Dag":
         """Skip validation; caller guarantees sorted, acyclic parent tuples."""
         dag = object.__new__(cls)
-        dag.n = n
-        dag.parents = parents
+        object.__setattr__(dag, "n", n)
+        object.__setattr__(dag, "parents", parents)
         return dag
 
     def topological_order(self) -> list[int]:
@@ -121,19 +122,6 @@ class Dag:
     @property
     def edge_count(self) -> int:
         return sum(len(ps) for ps in self.parents)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Dag)
-            and self.n == other.n
-            and self.parents == other.parents
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.parents))
-
-    def __repr__(self) -> str:
-        return f"Dag(n={self.n}, parents={self.parents!r})"
 
 
 def parent_config_index(values: Sequence[int], parents: Sequence[int],

@@ -118,6 +118,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out) -> None:
+    """Refuse before any work an --out whose nearest existing path is not a directory."""
+    if out is None:
+        return
+    path = Path(out).absolute()
+    while not path.exists():  # a root always exists
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(f"--out {out}: {path} is not a directory")
+
+
 def _save_learned(args, prefix: str, data, dag: Dag, score: float,
                   trace=None) -> int:
     """Print the best score; with --out, write <prefix>_structure.json (and
@@ -170,6 +181,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_learn_ccga(args) -> int:
+    _check_out(args.out)
     data = load_dataset(args.data)
     doc = read_json(args.config) if args.config else {}
     cfg = config_from_dict(GaConfig, doc, "ga config")
@@ -182,6 +194,7 @@ def _cmd_learn_ccga(args) -> int:
 
 
 def _cmd_learn_k2(args) -> int:
+    _check_out(args.out)
     data = load_dataset(args.data)
     dag, score = k2_learn(data, K2Config(max_parents=args.max_parents,
                                          seed=args.seed))

@@ -1,9 +1,9 @@
 """Two-species DAG encoding: a node ordering plus upper-triangular edge bits.
 
-An ordering is a tuple of the n node indices; an edge vector is a read-only
-bool array of n(n-1)/2 bits. The paper joins the two into one interleaved
-chromosome (node at position 1, its n-1 out-bits, node at position 2, its
-n-2 out-bits, ..., node n); the engine keeps them as two species.
+An ordering is a tuple of the n node indices; an edge vector is `bytes`, a
+0/1 byte for each of its n(n-1)/2 bits. The paper joins the two into one
+interleaved chromosome (node at position 1, its n-1 out-bits, node at
+position 2, ..., node n); the engine keeps them as two species.
 
 A bit at triangular position (i, j), 1-based with i < j, says that the node
 at ordering position i is a parent of the node at position j. Because edges
@@ -65,7 +65,7 @@ def mask_nodes(mask: int) -> tuple[int, ...]:
     return tuple(nodes)
 
 
-def decode_parents(order: Sequence[int], bits: np.ndarray) -> tuple[int, ...]:
+def decode_parents(order: Sequence[int], bits: Sequence) -> tuple[int, ...]:
     """Parent masks implied by (ordering, bits), one int per node: bit p of
     node v's mask is set when p is a parent of v.
 
@@ -77,16 +77,11 @@ def decode_parents(order: Sequence[int], bits: np.ndarray) -> tuple[int, ...]:
     """
     n = len(order)
     positions, node_bit = _layout(n)
-    if isinstance(bits, np.ndarray) and bits.dtype == bool:
-        flags = bits.tobytes()  # one 0/1 byte per bit, cheaper than tolist()
-    else:
-        flags = list(bits)
-    if len(flags) != len(positions):
-        raise EncodingError(
-            f"expected {len(positions)} edge bits for n={n}, got {len(flags)}"
-        )
+    if len(bits) != len(positions):
+        raise EncodingError(f"expected {len(positions)} edge bits for n={n}, "
+                            f"got {len(bits)}")
     masks = [0] * n
-    for s, t in compress(positions, flags):
+    for s, t in compress(positions, bits):
         masks[order[t]] |= node_bit[order[s]]
     return tuple(masks)
 
@@ -101,22 +96,23 @@ def decode(solution) -> Dag:
     """Decode an (ordering, bits) pair into its DAG (acyclic by construction).
 
     This is where a pair leaving the engine is checked: an ordering that is
-    not a permutation of 0..n-1, or a bit count other than n(n-1)/2, raises
-    EncodingError.
+    not a permutation of 0..n-1, bits that are not one 1-D sequence (bytes,
+    a list, an array), or a bit count other than n(n-1)/2, raises EncodingError.
     """
     order, bits = solution
     order = tuple(int(v) for v in order)
     if sorted(order) != list(range(len(order))):
         raise EncodingError(f"not a permutation of 0..{len(order) - 1}: {order}")
-    bits = np.asarray(bits, dtype=bool)
+    # np.asarray would read bytes as one 0-d string
+    bits = np.frombuffer(bits, bool) if isinstance(bits, bytes) else np.asarray(bits, bool)
     if bits.ndim != 1:
         raise EncodingError(f"edge bits must be one-dimensional, got shape {bits.shape}")
-    return masks_dag(decode_parents(order, bits))
+    return masks_dag(decode_parents(order, bits.tobytes()))
 
 
-def encode_dag(dag: Dag) -> tuple[tuple[int, ...], np.ndarray]:
+def encode_dag(dag: Dag) -> tuple[tuple[int, ...], bytes]:
     """Encode a DAG as an (ordering, bits) pair: a topological order and
-    the edge bits it implies, as a read-only bool array.
+    the edge bits it implies, as bytes.
 
     decode(encode_dag(g)) reproduces g exactly; this is the constructive
     witness that the representation covers every DAG.
@@ -124,10 +120,7 @@ def encode_dag(dag: Dag) -> tuple[tuple[int, ...], np.ndarray]:
     n = dag.n
     order = tuple(dag.topological_order())
     position = {node: p for p, node in enumerate(order)}  # 0-based positions
-    bits = np.zeros(triangular_size(n), dtype=bool)
-    for child in range(n):
-        for parent in dag.parents[child]:
-            s, t = position[parent], position[child]
-            bits[triangular_index(s + 1, t + 1, n)] = True
-    bits.setflags(write=False)
-    return order, bits
+    bits = bytearray(triangular_size(n))
+    for parent, child in dag.edges():
+        bits[triangular_index(position[parent] + 1, position[child] + 1, n)] = 1
+    return order, bytes(bits)

@@ -2,10 +2,10 @@
 
 Two species evolve side by side, each a list of members with an aligned
 fitness array: permutations of the nodes (tuples of ints) and binary
-connectivity vectors (read-only bool arrays). A member's fitness is the
-best score it forms with collaborators from the other species: the other's
-fittest member and one uniformly random member. At generation 0 no fitness
-exists yet, so only a random collaborator is used.
+connectivity vectors (bytes, a 0/1 byte per edge bit). A member's fitness is
+the best score it forms with collaborators from the other species: the
+other's fittest member and one uniformly random member. At generation 0 no
+fitness exists yet, so only a random collaborator is used.
 
 Each generation runs selection, crossover, mutation, evaluation and
 elitist replacement for the permutation species and then, with the other
@@ -84,10 +84,10 @@ def trace_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BestSolution:
     perm: tuple[int, ...]
-    bits: np.ndarray
+    bits: bytes
     log_score: float
 
 
@@ -117,12 +117,11 @@ def init_binary_pop(n: int, size: int, rng: np.random.Generator) -> list:
     E = triangular_size(n)
     members = []
     for _ in range(size):
-        bits = np.zeros(E, dtype=bool)
+        bits = bytearray(E)
         for j in range(2, n + 1):
             i = int(rng.integers(1, j))
-            bits[triangular_index(i, j, n)] = True
-        bits.setflags(write=False)
-        members.append(bits)
+            bits[triangular_index(i, j, n)] = 1
+        members.append(bytes(bits))
     return members
 
 
@@ -168,23 +167,17 @@ def two_distinct(L: int, rng: np.random.Generator) -> tuple[int, int]:
     return i, j
 
 
-def two_point_crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def two_point_crossover(a: bytes, b: bytes, rng: np.random.Generator
+                        ) -> tuple[bytes, bytes]:
     """Exchange the middle of the three segments delimited by two distinct
     cut points (drawn uniformly without replacement from the boundaries
     1..L) of two vectors of one length L. Vectors of length < 2 are
-    returned unchanged; children are fresh read-only arrays."""
-    L = a.size
+    returned unchanged."""
+    L = len(a)
     if L < 2:
         return a, b
     c1, c2 = sorted(c + 1 for c in two_distinct(L, rng))  # boundaries 1..L
-    child1 = a.copy()
-    child1[c1:c2] = b[c1:c2]
-    child2 = b.copy()
-    child2[c1:c2] = a[c1:c2]
-    child1.setflags(write=False)
-    child2.setflags(write=False)
-    return child1, child2
+    return a[:c1] + b[c1:c2] + a[c2:], b[:c1] + a[c1:c2] + b[c2:]
 
 
 def cycle_crossover(a: tuple[int, ...], b: tuple[int, ...]
@@ -222,17 +215,13 @@ def cycle_crossover(a: tuple[int, ...], b: tuple[int, ...]
     return tuple(child1), tuple(child2)
 
 
-def bit_flip_mutation(g: np.ndarray, p_mb: float,
-                      rng: np.random.Generator) -> np.ndarray:
+def bit_flip_mutation(g: bytes, p_mb: float, rng: np.random.Generator) -> bytes:
     """Flip each bit independently with probability p_mb in [0, 1] (see
-    GaConfig.validate); a flipped child is a fresh read-only array, an
-    unflipped one is `g` itself."""
-    flips = rng.random(g.size) < p_mb
+    GaConfig.validate); an unflipped child is `g` itself."""
+    flips = rng.random(len(g)) < p_mb
     if not np.count_nonzero(flips):  # cheaper than flips.any()
         return g
-    child = np.logical_xor(g, flips)
-    child.setflags(write=False)
-    return child
+    return (np.frombuffer(g, dtype=bool) ^ flips).tobytes()
 
 
 def swap_mutation(g: tuple[int, ...], p_mp: float,
@@ -297,8 +286,6 @@ def _generation(members: list, fitness: np.ndarray, partners: list,
     offspring = []
     for t in range(0, len(pool), 2):
         p1, p2 = pool[t], pool[t + 1]
-        # without crossover the parents are shared, not copied: members are
-        # never written
         c1, c2 = crossover(p1, p2) if rng.random() < p_c else (p1, p2)
         offspring.extend((mutate(c1), mutate(c2)))
     offspring_fitness = evaluate(offspring, partners, partner_fitness, score, rng)

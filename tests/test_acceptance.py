@@ -206,8 +206,8 @@ def test_criterion_8_operator_properties():
             assert sorted(child) == list(range(n))
             assert all(child[p] in (a[p], b[p]) for p in range(n))
         E = triangular_size(n)
-        ga = rng.random(E) < 0.5
-        gb = rng.random(E) < 0.5
+        ga = (rng.random(E) < 0.5).tobytes()
+        gb = (rng.random(E) < 0.5).tobytes()
         d1, d2 = two_point_crossover(ga, gb, rng)
         for child in (d1, d2):
             assert all(child[k] in (ga[k], gb[k]) for k in range(E))
@@ -215,8 +215,8 @@ def test_criterion_8_operator_properties():
     # expected flips at p_mb = 1/E over 10,000 trials
     n = 6
     E = triangular_size(n)
-    zero = np.zeros(E, dtype=bool)
-    flips = np.array([int(bit_flip_mutation(zero, 1.0 / E, rng).sum())
+    zero = bytes(E)
+    flips = np.array([sum(bit_flip_mutation(zero, 1.0 / E, rng))
                       for _ in range(10_000)])
     assert abs(flips.mean() - 1.0) < 0.05
 

@@ -1,6 +1,7 @@
 """Network representation, ancestral sampling, synthesis, and file round-trips."""
 
 import csv
+import dataclasses
 import io
 import time
 import tracemalloc
@@ -107,6 +108,27 @@ class TestDag:
         dag = Dag(50_000, [()] * 50_000)
         assert time.perf_counter() - start < 2.0
         assert dag.topological_order() == list(range(50_000))
+
+
+class TestDagValue:
+    """A Dag is a frozen value: its fields cannot be reassigned, and equal
+    graphs compare and hash alike, so a Dag is safe in a set or a dict."""
+
+    def test_fields_cannot_be_reassigned(self):
+        dag = Dag(2, [(), (0,)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dag.parents = ((), ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dag.n = 3
+        assert dag == Dag(2, [(), (0,)])
+
+    def test_repr_equality_and_hash(self):
+        a = Dag(3, [[2, 1], [], []])
+        b = Dag(3, ((1, 2), (), ()))
+        assert repr(a) == repr(b) == "Dag(n=3, parents=((1, 2), (), ()))"
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Dag(3, [(), (), ()]) and a != Dag(4, [(1, 2), (), (), ()])
+        assert a != 5 and not a == 5
 
 
 class TestVariables:

@@ -194,6 +194,26 @@ class TestUsageErrors:
         assert list(paths["dir"].iterdir()) == []
         assert paths["file"].read_text() == "kept\n"
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    @pytest.mark.parametrize("command", ["learn-ccga", "learn-k2"])
+    def test_unusable_out_is_refused_before_the_run(self, capsys, tmp_path,
+                                                    command, out):
+        run(capsys, "random-net", "--nodes", "3", "--out-file", str(tmp_path / "net"))
+        run(capsys, "sample", "--net", str(tmp_path / "net"), "--rows", "20",
+            "--out-file", str(tmp_path / "data"))
+        (tmp_path / "file").write_text("kept\n")
+        code, stdout, err = run(capsys, command, "--data", str(tmp_path / "data"),
+                                "--out", str(tmp_path / out))
+        assert code == 2
+        assert "best_score=" not in stdout
+        assert err.startswith(f"error: --out {tmp_path / out}: ")
+        assert err.rstrip().endswith("is not a directory")
+        assert (tmp_path / "file").read_text() == "kept\n"
+        # the path is checked before the data are read
+        code, _, err = run(capsys, command, "--data", str(tmp_path / "missing"),
+                           "--out", str(tmp_path / out))
+        assert code == 2 and "is not a directory" in err
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_other_os_error_exits_1_without_a_traceback(self, capsys):
         code, _, err = run(capsys, "random-net", "--nodes", "3",

@@ -60,8 +60,8 @@ class TestTriangularIndex:
 
 
 class TestGenomes:
-    """An ordering is a tuple and an edge vector a bool array; decode is
-    where a pair leaving the engine is checked."""
+    """An ordering is a tuple and an edge vector bytes; decode is where a
+    pair leaving the engine is checked."""
 
     def test_permutation_validated(self):
         with pytest.raises(EncodingError, match="not a permutation"):
@@ -77,25 +77,43 @@ class TestGenomes:
 
     def test_bits_are_frozen(self):
         """Elitism and copy-through share members between generations, so
-        every bit vector the engine makes is read-only, and making children
-        never writes to a parent."""
+        every bit vector the engine makes is immutable bytes, and making
+        children never writes to a parent."""
         rng = np.random.default_rng(5)
         n = 6
         members = init_binary_pop(n, 8, rng)
-        assert all(not m.flags.writeable for m in members)
+        assert all(type(m) is bytes for m in members)
         a, b = members[0], members[1]
-        before = a.copy(), b.copy()
+        before = bytearray(a), bytearray(b)
         children = list(two_point_crossover(a, b, rng))
         flipped = bit_flip_mutation(a, 1.0, rng)
-        assert not np.array_equal(flipped, a)  # at least one bit flipped
+        assert flipped != a  # at least one bit flipped
         children.append(flipped)
         children.append(encode_dag(decode(((2, 0, 1, 3, 5, 4), a)))[1])
         for child in children:
             assert child is not a and child is not b
-            assert not child.flags.writeable
-            with pytest.raises(ValueError):
+            assert type(child) is bytes
+            with pytest.raises(TypeError):
                 child[0] = not child[0]
-        assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+        assert a == before[0] and b == before[1]
+
+
+class TestEdgeVectorForms:
+    """decode takes an edge vector as bytes, a list or a 1-D bool array."""
+
+    def test_one_pair_in_three_forms_decodes_to_one_dag(self):
+        rng = np.random.default_rng(30)
+        for n in (2, 4, 7, 12):
+            perm, bits = random_pair(rng, n)
+            dag = decode((perm, bits.tobytes()))
+            assert dag == decode((perm, bits.tolist())) == decode((perm, bits))
+            assert dag.parents == reference_decode(perm, bits)
+
+    def test_bytes_are_read_as_one_bit_each(self):
+        # np.asarray(b"\x01\x00", dtype=bool) is a single 0-d True
+        assert decode(((1, 0, 2), b"\x01\x00\x01")).parents == ((1,), (), (0,))
+        with pytest.raises(EncodingError, match="expected 3 edge bits"):
+            decode(((0, 1, 2), b"\x01\x00"))
 
 
 class TestCombine:
@@ -244,7 +262,7 @@ class TestEncodeDag:
         seen = 0
         for dag in enumerate_dags(n):
             perm, bits = encode_dag(dag)
-            assert type(perm) is tuple and bits.dtype == bool
+            assert type(perm) is tuple and type(bits) is bytes
             assert decode((perm, bits)) == dag
             seen += 1
         assert seen == count_dags(n)

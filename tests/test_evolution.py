@@ -37,7 +37,7 @@ from helpers import chain3, chain4, dataset
 
 def bools(digits):
     """An edge-bit vector written as a string of 0s and 1s."""
-    return np.array([d == "1" for d in digits])
+    return bytes(d == "1" for d in digits)
 
 
 def random_order(rng, n):
@@ -109,14 +109,14 @@ class TestInitialization:
 
     def test_binary_two_nodes_forced(self):
         pop = init_binary_pop(2, 8, np.random.default_rng(2))
-        assert all(m.tolist() == [True] for m in pop)
+        assert all(m == bools("1") for m in pop)
 
     def test_binary_members_are_trees(self):
         n = 4
         pop = init_binary_pop(n, 25, np.random.default_rng(3))
         perm = tuple(range(n))
         for m in pop:
-            assert int(m.sum()) == n - 1
+            assert sum(m) == n - 1
             dag = decode((perm, m))
             in_degrees = [len(ps) for ps in dag.parents]
             assert in_degrees[perm[0]] == 0
@@ -147,15 +147,15 @@ class TestTwoPointCrossover:
     def test_identical_parents_identical_children(self):
         g = bools("101100")
         c1, c2 = two_point_crossover(g, g, np.random.default_rng(0))
-        assert np.array_equal(c1, g) and np.array_equal(c2, g)
+        assert c1 == g and c2 == g
 
     def test_worked_segment_swap(self):
         a = bools("000000")
         b = bools("111111")
         rng = CutsRng((4, 2))
         c1, c2 = two_point_crossover(a, b, rng)
-        assert c1.tolist() == bools("001100").tolist()
-        assert c2.tolist() == bools("110011").tolist()
+        assert c1 == bools("001100")
+        assert c2 == bools("110011")
         assert rng.draws == []
 
     def test_children_take_each_position_from_a_parent(self):
@@ -163,8 +163,8 @@ class TestTwoPointCrossover:
         for _ in range(200):
             n = int(rng.integers(2, 8))
             E = triangular_size(n)
-            a = rng.random(E) < 0.5
-            b = rng.random(E) < 0.5
+            a = (rng.random(E) < 0.5).tobytes()
+            b = (rng.random(E) < 0.5).tobytes()
             c1, c2 = two_point_crossover(a, b, rng)
             for k in range(E):
                 assert c1[k] in (a[k], b[k])
@@ -234,14 +234,14 @@ class TestMutation:
     def test_bit_flip_certain_probability_complements(self):
         g = bools("101100")
         flipped = bit_flip_mutation(g, 1.0, np.random.default_rng(0))
-        assert flipped.tolist() == bools("010011").tolist()
+        assert flipped == bools("010011")
 
     def test_expected_one_flip_at_default_rate(self):
         n = 6
         E = triangular_size(n)
-        g = np.zeros(E, dtype=bool)
+        g = bytes(E)
         rng = np.random.default_rng(123)
-        flips = [int(bit_flip_mutation(g, 1.0 / E, rng).sum())
+        flips = [sum(bit_flip_mutation(g, 1.0 / E, rng))
                  for _ in range(10_000)]
         assert abs(np.mean(flips) - 1.0) < 0.05
 
@@ -264,9 +264,9 @@ class TestMutation:
             perm = random_order(rng, n)
             out = swap_mutation(perm, 0.7, rng)
             assert sorted(out) == list(range(n))
-            bits = rng.random(triangular_size(n)) < 0.5
+            bits = (rng.random(triangular_size(n)) < 0.5).tobytes()
             mutated = bit_flip_mutation(bits, 0.3, rng)
-            assert mutated.shape == (triangular_size(n),)
+            assert len(mutated) == triangular_size(n)
 
 
 class TestElitistReplacement:
@@ -392,6 +392,36 @@ class TestEvolve:
             self.data, decode((best.perm, best.bits)))
         assert rescored == pytest.approx(best.log_score, rel=1e-12)
 
+    def test_members_and_children_are_bytes(self, monkeypatch):
+        """Every edge vector the binary operators take or make is bytes, and
+        making children leaves the parents as they were."""
+        calls = []
+
+        def recording(fn):
+            def wrapper(*parents, **kwargs):
+                copies = [bytearray(g) for g in parents]
+                children = fn(*parents, **kwargs)
+                calls.append((parents, copies, children))
+                return children
+            return wrapper
+
+        for name in ("two_point_crossover", "bit_flip_mutation"):
+            monkeypatch.setattr(evolution, name, recording(getattr(evolution, name)))
+        evolve(self.data, self.small_config(generations=3, p_c=1.0, p_mb=0.5))
+        assert len(calls) > 0
+        for parents, copies, children in calls:
+            children = children if isinstance(children, tuple) else (children,)
+            assert all(type(g) is bytes for g in (*parents, *children))
+            assert [bytearray(g) for g in parents] == copies
+
+    def test_best_solution_is_a_value(self):
+        a, _ = evolve(self.data, self.small_config())
+        b, _ = evolve(self.data, self.small_config())
+        assert a.best_so_far == b.best_so_far
+        assert type(a.best_so_far.bits) is bytes
+        assert len({(a.best_so_far.perm, a.best_so_far.bits),
+                    (b.best_so_far.perm, b.best_so_far.bits)}) == 1
+
     def test_parent_masks_above_int64_score_exactly(self):
         """At 70 nodes a parent mask can exceed 2**64; the engine's cached
         score of its best must still equal both uncached scorers."""
@@ -516,7 +546,7 @@ class TestGoldenTrajectory:
                                              seed=5))
         assert trace_csv(trace.records) == GOLDEN_N3
         best = state.best_so_far
-        assert (best.perm, best.bits.tolist()) == ((0, 1, 2), bools("101").tolist())
+        assert (best.perm, best.bits) == ((0, 1, 2), bools("101"))
 
     def test_six_node_random_network(self):
         data = ancestral_sample(random_network(6, 3, 0.4, seed=2), 300, seed=3)
@@ -524,8 +554,8 @@ class TestGoldenTrajectory:
                                              seed=7))
         assert trace_csv(trace.records) == GOLDEN_N6
         best = state.best_so_far
-        assert (best.perm, best.bits.tolist()) == \
-            ((3, 5, 2, 4, 1, 0), bools("111001000000111").tolist())
+        assert (best.perm, best.bits) == \
+            ((3, 5, 2, 4, 1, 0), bools("111001000000111"))
 
     def test_ten_node_headline_network(self):
         """The headline network and data with a short run, so the decode and
@@ -534,6 +564,6 @@ class TestGoldenTrajectory:
         state, trace = evolve(data, GaConfig(generations=25, seed=1))
         assert trace_csv(trace.records) == GOLDEN_N10
         best = state.best_so_far
-        assert (best.perm, best.bits.tolist()) == \
+        assert (best.perm, best.bits) == \
             ((2, 5, 6, 9, 0, 3, 8, 1, 7, 4),
-             bools("111000001111001011011101101000001001000110000").tolist())
+             bools("111000001111001011011101101000001001000110000"))
