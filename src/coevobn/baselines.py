@@ -6,14 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb
-from numbers import Integral
 from typing import Iterator
 
 import numpy as np
 
 from .bayesnet import Dag, Dataset
 from .encoding import decode_parents, masks_dag, triangular_size
-from .errors import EmptyDataError, ValidationError, check_number
+from .errors import EmptyDataError, ValidationError, check_number, is_number
 from .scoring import (
     LocalScoreCache,
     extension_scores,
@@ -40,9 +39,9 @@ class K2Config:
         order = self.ordering
         if isinstance(order, str) and order == "random":
             return
-        if not isinstance(order, list) or not all(
-                isinstance(v, Integral) and not isinstance(v, bool) for v in order) \
-                or sorted(order) != list(range(len(order))):
+        if not (isinstance(order, list)
+                and all(is_number(v, integer=True) for v in order)
+                and sorted(order) == list(range(len(order)))):
             raise ValidationError(f"ordering must be 'random' or a list of integers "
                                   f"that permutes 0..n-1, got {order!r}")
 

@@ -6,6 +6,11 @@ import numbers
 import sys
 from contextlib import contextmanager
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 
 class CoevoBnError(Exception):
     """Base class for all package errors."""
@@ -38,9 +43,15 @@ class EngineError(CoevoBnError):
 @contextmanager
 def refuse_out_of_memory(what: str, need: int):
     """Refuse with ValidationError "out of memory <what> <need> bytes" a block
-    that runs out of memory, or whose `need` bytes pass sys.maxsize."""
+    that runs out of memory, or whose `need` bytes pass sys.maxsize or the
+    process's soft RLIMIT_AS, where one is set."""
     too_big = ValidationError(f"out of memory {what} {need} bytes")
-    if need > sys.maxsize:
+    limit = sys.maxsize
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limit = min(limit, soft)
+    if need > limit:
         raise too_big
     try:
         yield
@@ -48,12 +59,17 @@ def refuse_out_of_memory(what: str, need: int):
         raise too_big from None
 
 
+def is_number(value, integer: bool = False) -> bool:
+    """A real number (an integer if `integer`); a bool never counts."""
+    return not isinstance(value, bool) and \
+        isinstance(value, numbers.Integral if integer else numbers.Real)
+
+
 def check_number(name: str, value, integer: bool = False, low=None,
                  high=None) -> None:
-    """Reject anything but a real number (an integer if `integer`; bool
-    never counts) inside [low, high], where those bounds are given."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
+    """Reject anything but is_number(value, integer) inside [low, high],
+    where those bounds are given."""
+    if not is_number(value, integer):
         raise ValidationError(
             f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}"
         )
@@ -73,8 +89,7 @@ def check_keys(doc, known, what: str) -> dict:
     return doc
 
 
-def config_from_dict(cls, doc, what: str, exclude=()):
-    """Build the config dataclass `cls` from a JSON object of its fields,
-    leaving out the fields named in `exclude`."""
-    known = [f.name for f in dataclasses.fields(cls) if f.name not in exclude]
+def config_from_dict(cls, doc, what: str):
+    """Build the config dataclass `cls` from a JSON object of its fields."""
+    known = [f.name for f in dataclasses.fields(cls)]
     return cls(**check_keys(doc, known, what))

@@ -191,27 +191,20 @@ def cycle_crossover(a: tuple[int, ...], b: tuple[int, ...]
     a value present at that position in one of the parents. Deterministic:
     it draws no random numbers.
     """
-    n = len(a)
     pos_in_a = {v: p for p, v in enumerate(a)}
-    used = [False] * n
-    child1 = [0] * n
-    child2 = [0] * n
-    take_from_a = True
-    for start in range(n):
+    used = [False] * len(a)
+    child1, child2 = list(a), list(b)
+    swap = False  # the children swap values on every even-numbered cycle
+    for start in range(len(a)):
         if used[start]:
             continue
-        cycle = []
         p = start
-        while True:
-            cycle.append(p)
+        while not used[p]:  # one walk round the cycle back to start
             used[p] = True
+            if swap:
+                child1[p], child2[p] = b[p], a[p]
             p = pos_in_a[b[p]]
-            if p == start:
-                break
-        for p in cycle:
-            child1[p] = a[p] if take_from_a else b[p]
-            child2[p] = b[p] if take_from_a else a[p]
-        take_from_a = not take_from_a
+        swap = not swap
     return tuple(child1), tuple(child2)
 
 

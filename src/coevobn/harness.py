@@ -138,12 +138,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         cfg = config_from_dict(cls, doc, "experiment config")
-        # every run's GA and K2 seeds derive from master_seed, so the blocks
-        # take no seed of their own
-        cfg.ga = config_from_dict(GaConfig, doc.get("ga", {}), "ga config",
-                                  exclude=("seed",))
-        cfg.k2 = config_from_dict(K2Config, doc.get("k2", {}), "k2 config",
-                                  exclude=("seed",))
+        cfg.ga = config_from_dict(GaConfig, doc.get("ga", {}), "ga config")
+        cfg.k2 = config_from_dict(K2Config, doc.get("k2", {}), "k2 config")
         return cfg
 
 

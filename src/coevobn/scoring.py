@@ -164,7 +164,7 @@ def extension_scores(data: Dataset, node: int, parent_set: Sequence[int],
                     k, a, 1, -1) & table
                 counts = np.add.reduce(np.bitwise_count(both), axis=-1, dtype=np.int64)
                 counts = counts.reshape(k, a, -1, strides[slot]).transpose(0, 2, 1, 3)
-                for i, score in zip(group, table_log_scores(
+                for i, score in zip(group, table_log_score(
                         counts.reshape(k, -1, r), m).tolist()):
                     scores[i] = score
         else:
@@ -173,10 +173,10 @@ def extension_scores(data: Dataset, node: int, parent_set: Sequence[int],
             scaled = index * a
             for i in idx:
                 cand = candidates[i]
-                scores[i] = table_log_score(
+                scores[i] = float(table_log_score(
                     np.bincount(scaled + rows[:, cand], minlength=cells * a)
                     .reshape(-1, strides[bisect_left(parent_set, cand)], a)
-                    .swapaxes(1, 2).reshape(-1, r), m)
+                    .swapaxes(1, 2).reshape(-1, r), m))
     return scores
 
 
@@ -206,17 +206,12 @@ def _bde(n_j: np.ndarray, n_jk: np.ndarray, r: int, n_rows: int) -> np.ndarray:
             + np.add.reduce(lf.take(n_jk), axis=-1))
 
 
-def table_log_score(counts: np.ndarray, n_rows: int) -> float:
-    """BDe local score of one (parent configuration, child value) table of
-    counts over n_rows rows."""
-    return float(_bde(np.add.reduce(counts, axis=1), counts.reshape(-1),
-                      counts.shape[1], n_rows))
-
-
-def table_log_scores(counts: np.ndarray, n_rows: int) -> np.ndarray:
-    """table_log_score of each table of a (k, q, r) stack, bit for bit."""
-    k, _, r = counts.shape
-    return _bde(np.add.reduce(counts, axis=2), counts.reshape(k, -1), r, n_rows)
+def table_log_score(counts: np.ndarray, n_rows: int) -> np.ndarray:
+    """BDe local score of a (parent configuration, child value) table of
+    counts over n_rows rows, or of each table of a (k, q, r) stack, bit for
+    bit as that table alone; a numpy scalar or a (k,) array."""
+    return _bde(np.add.reduce(counts, axis=-1),
+                counts.reshape(*counts.shape[:-2], -1), counts.shape[-1], n_rows)
 
 
 def local_log_score(data: Dataset, node: int, parent_set: Sequence[int]) -> float:
@@ -228,7 +223,7 @@ def local_log_score(data: Dataset, node: int, parent_set: Sequence[int]) -> floa
     radix key that is re-ranked before it could pass 2^62."""
     parent_set, cells = _family(data, node, parent_set)
     if cells <= DENSE_CELLS:
-        return table_log_score(count_stats(data, node, parent_set), data.n_rows)
+        return float(table_log_score(count_stats(data, node, parent_set), data.n_rows))
     rows, arities = data.rows, data.arities
     key, span = np.zeros(data.n_rows, dtype=np.int64), 1  # 0 <= key < span
     for p in parent_set:

@@ -177,3 +177,30 @@ def reference_k2(data, order, max_parents, tried=None):
     for value in local_scores:
         total += value
     return Dag(n, parent_sets), total
+
+
+def reference_cycle_crossover(a, b):
+    """Cycle crossover as a list of each cycle's positions, filled in a
+    second loop: the oracle for evolution.cycle_crossover's one walk."""
+    n = len(a)
+    pos_in_a = {v: p for p, v in enumerate(a)}
+    used = [False] * n
+    child1 = [0] * n
+    child2 = [0] * n
+    take_from_a = True
+    for start in range(n):
+        if used[start]:
+            continue
+        cycle = []
+        p = start
+        while True:
+            cycle.append(p)
+            used[p] = True
+            p = pos_in_a[b[p]]
+            if p == start:
+                break
+        for p in cycle:
+            child1[p] = a[p] if take_from_a else b[p]
+            child2[p] = b[p] if take_from_a else a[p]
+        take_from_a = not take_from_a
+    return tuple(child1), tuple(child2)

@@ -234,8 +234,7 @@ class TestK2IndexExtension:
         sparse = []
         routes = set()          # how k2_learn scored a candidate family
         real_local = baselines.local_log_score
-        real_index = scoring.table_log_score
-        real_bits = scoring.table_log_scores
+        real_table = scoring.table_log_score
 
         def spy_local(data, node, parents):
             sparse.append(len(parents))
@@ -243,20 +242,16 @@ class TestK2IndexExtension:
                 routes.add("local_log_score")
             return real_local(data, node, parents)
 
-        def spy_index(counts, n_rows):
-            # local_log_score's dense branch calls table_log_score too
+        def spy_table(counts, n_rows):
+            # local_log_score's dense branch calls table_log_score too; of
+            # extension_scores' calls, a stack of tables is the bit batch
             if sys._getframe(1).f_code is scoring.extension_scores.__code__:
-                routes.add("index extension")
-            return real_index(counts, n_rows)
-
-        def spy_bits(counts, n_rows):
-            routes.add("bit batch")
-            return real_bits(counts, n_rows)
+                routes.add("bit batch" if counts.ndim == 3 else "index extension")
+            return real_table(counts, n_rows)
 
         monkeypatch.setattr(baselines, "local_log_score", spy_local)
         monkeypatch.setattr(scoring, "local_log_score", spy_local)
-        monkeypatch.setattr(scoring, "table_log_score", spy_index)
-        monkeypatch.setattr(scoring, "table_log_scores", spy_bits)
+        monkeypatch.setattr(scoring, "table_log_score", spy_table)
 
         def check(data, order):
             for cap in range(4):

@@ -33,7 +33,7 @@ from coevobn import (
     scoring,
 )
 from coevobn.baselines import COUNT_LIMIT, ENUMERATION_LIMIT, count_dags
-from coevobn.bayesnet import SAMPLE_BLOCK
+from coevobn.bayesnet import NODE_BYTES, SAMPLE_BLOCK
 from coevobn.cli import cli_main
 from helpers import (
     chain3,
@@ -412,6 +412,23 @@ class TestDenseStructures:
         assert f"cells, above DENSE_CELLS = {scoring.DENSE_CELLS}" in proc.stderr
         assert not (tmp_path / "net.json").exists()
 
+    def test_random_net_of_more_nodes_than_the_cap_holds_is_refused_at_once(
+            self, tmp_path):
+        # 20,000,000 nodes hold at least 4 GB of Python objects before any
+        # edge: past the 2 GiB address space, so refused before building them
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "coevobn.cli", "random-net", "--nodes", "20000000",
+             "--out-file", str(tmp_path / "net.json")],
+            env=capped_env(), preexec_fn=cap_address_space, capture_output=True,
+            text=True, timeout=120)
+        assert time.monotonic() - start < 2
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (f"network of 20000000 nodes: its nodes alone ask for "
+                f"{20000000 * NODE_BYTES} bytes") in proc.stderr
+        assert not (tmp_path / "net.json").exists()
+
     @pytest.mark.parametrize("command", ["learn-k2", "learn-ccga"])
     def test_arity_above_the_dense_limit_is_usage_error(self, tmp_path, command):
         # counting X1's values alone would ask for a 7.28 TiB table
@@ -651,8 +668,6 @@ class TestCompare:
         ({"ga": {"parallel_eval": True}}, "parallel_eval"),
         ({"k2": {"max_parent": 3}}, "max_parent"),
         ({"deterministic_output": False}, "deterministic_output"),
-        ({"ga": {"seed": 1}}, "seed"),
-        ({"k2": {"seed": 1}}, "seed"),
     ])
     def test_unknown_key_is_usage_error(self, capsys, tmp_path, overrides,
                                         field):
@@ -660,6 +675,23 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--config", str(cfg))
         assert code == 2
         assert field in err
+
+    @pytest.mark.parametrize("block, settings", [
+        ("ga", {"generations": 3, "population_size": 6}), ("k2", {"max_parents": 3}),
+    ], ids=["ga", "k2"])
+    def test_run_seed_other_than_zero_is_usage_error(self, capsys, tmp_path, block,
+                                                     settings):
+        # every run's GA and K2 seeds derive from master_seed, so a seed
+        # set in the block would be silently replaced
+        out = tmp_path / "out"
+        cfg = self.write_config(tmp_path, out, **{block: {**settings, "seed": 2}})
+        code, stdout, err = run(capsys, "compare", "--config", str(cfg))
+        assert code == 2
+        assert f"{block}.seed must be 0" in err
+        assert stdout == "" and not (out / "runs.csv").exists()
+        cfg = self.write_config(tmp_path, out, **{block: {**settings, "seed": 0}})
+        code, stdout, _ = run(capsys, "compare", "--config", str(cfg))
+        assert code == 0 and "ccga_mean=" in stdout
 
     @pytest.mark.parametrize("overrides, field", [
         ({"runs": "2"}, "runs"),
@@ -823,7 +855,7 @@ def _size_requests(rng, cases, work):
     """`cases` seeded size requests to `random-net`, `learn-ccga` and
     `compare`: node counts, arities and population sizes that are small, at
     the bound the request is checked against, and past it."""
-    node_bound = sys.maxsize // 16  # random_network's ordering and arities
+    node_bound = sys.maxsize // NODE_BYTES  # random_network's first estimate
     pop_bound = sys.maxsize // (8 * 5 + 10)  # two species over 5 nodes, 10 bits
     nodes = [1, 2, 3, node_bound, node_bound + 1, 10 ** 12, 10 ** 20]
     arities = [2, 3, 5, scoring.DENSE_CELLS, scoring.DENSE_CELLS + 1, 10 ** 20]

@@ -32,7 +32,7 @@ from coevobn.scoring import (
     score_parent_sets,
 )
 from coevobn.encoding import decode, decode_parents
-from helpers import chain3, chain4, dataset
+from helpers import chain3, chain4, dataset, reference_cycle_crossover
 
 
 def bools(digits):
@@ -224,6 +224,13 @@ class TestCycleCrossover:
                 assert sorted(child) == list(range(n))
                 for p in range(n):
                     assert child[p] in (a[p], b[p])
+
+    def test_matches_the_two_loop_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            a, b = random_order(rng, n), random_order(rng, n)
+            assert cycle_crossover(a, b) == reference_cycle_crossover(a, b)
 
 
 class TestMutation:

@@ -156,9 +156,10 @@ class TestCountStatsDifferential:
 
 
 class TestBatchedBde:
-    """K2 scores a stack of tables with one _bde call; each score must equal
-    table_log_score of its table alone, bit for bit. The lengths cross
-    numpy's pairwise-summation blocks (8 accumulators, 128-element leaves)."""
+    """K2 scores a stack of tables with one table_log_score call; each
+    score must equal table_log_score of its table alone, bit for bit. The
+    lengths cross numpy's pairwise-summation blocks (8 accumulators,
+    128-element leaves)."""
 
     @pytest.mark.parametrize("length", [*range(1, 10), 15, 16, 17, 127, 128,
                                         129, 1000])
@@ -171,12 +172,10 @@ class TestBatchedBde:
                 tables = rng.integers(0, 40, size=(k, q, r))
                 tables[rng.random(tables.shape) < 0.3] = 0   # empty cells
                 n_rows = int(tables.sum(axis=(1, 2)).max())
-                scores = scoring._bde(tables.sum(axis=2), tables.reshape(k, -1),
-                                      r, n_rows)
+                scores = table_log_score(tables, n_rows)
                 assert scores.shape == (k,)
-                expected = [table_log_score(t, n_rows) for t in tables]
+                expected = [float(table_log_score(t, n_rows)) for t in tables]
                 assert scores.tolist() == expected
-                assert scoring.table_log_scores(tables, n_rows).tolist() == expected
 
 
 class TestExtensionScores:
@@ -188,19 +187,21 @@ class TestExtensionScores:
     def test_equals_local_log_score_on_every_route(self, monkeypatch):
         monkeypatch.setattr(scoring, "DENSE_CELLS", 40)
         routes = set()
-        real = {name: getattr(scoring, name)
-                for name in ("local_log_score", "table_log_score", "table_log_scores")}
+        real_local, real_table = scoring.local_log_score, scoring.table_log_score
 
-        def spy(name, route):
-            def call(*args):
-                if sys._getframe(1).f_code is extension_scores.__code__:
-                    routes.add(route)
-                return real[name](*args)
-            monkeypatch.setattr(scoring, name, call)
+        def spy_local(*args):
+            if sys._getframe(1).f_code is extension_scores.__code__:
+                routes.add("local_log_score")
+            return real_local(*args)
 
-        spy("local_log_score", "local_log_score")
-        spy("table_log_score", "index extension")
-        spy("table_log_scores", "bit batch")
+        def spy_table(counts, n_rows):
+            # a stack of tables is the bit batch; one table the index extension
+            if sys._getframe(1).f_code is extension_scores.__code__:
+                routes.add("bit batch" if counts.ndim == 3 else "index extension")
+            return real_table(counts, n_rows)
+
+        monkeypatch.setattr(scoring, "local_log_score", spy_local)
+        monkeypatch.setattr(scoring, "table_log_score", spy_table)
         inserted = set()
         rng = np.random.default_rng(25)
         for m in (63, 64, 65, 1000):
