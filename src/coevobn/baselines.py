@@ -97,8 +97,7 @@ _DAG_COUNTS: list[int] = [1]   # _DAG_COUNTS[m] = count_dags(m), m = 0, 1, ...
 def count_dags(n: int) -> int:
     """Exact number of labeled DAGs on n nodes, by inclusion-exclusion
     over the nodes with no incoming edges (exact integer arithmetic)."""
-    if not 1 <= n <= COUNT_LIMIT:
-        raise ValidationError(f"node count must lie in [1, {COUNT_LIMIT}], got {n}")
+    check_number("node count", n, integer=True, low=1, high=COUNT_LIMIT)
     while len(_DAG_COUNTS) <= n:
         m = len(_DAG_COUNTS)
         total = 0
@@ -112,8 +111,7 @@ def count_dags(n: int) -> int:
 def _enumerate_masks(n: int) -> Iterator[tuple[int, ...]]:
     """The parent masks of every labeled DAG on n nodes, once each, in
     enumeration order (see enumerate_dags)."""
-    if n < 1:
-        raise ValidationError(f"node count must be >= 1, got {n}")
+    check_number("node count", n, integer=True, low=1)
     if n > ENUMERATION_LIMIT:
         raise ValidationError(
             f"refusing to enumerate DAGs on {n} nodes: the count is "

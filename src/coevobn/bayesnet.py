@@ -50,7 +50,8 @@ class Variable:
 
 def check_variables(variables: Sequence[Variable]) -> None:
     """Raise ValidationError unless names are unique and non-empty and every
-    arity lies in 2..DENSE_CELLS, so that one variable's counts fit a table."""
+    arity is an integer in 2..DENSE_CELLS, so that one variable's counts fit
+    a table."""
     seen = set()
     for var in variables:
         if not var.name:
@@ -60,9 +61,20 @@ def check_variables(variables: Sequence[Variable]) -> None:
                 f"duplicate variable name {var.name!r}; names within a network must be unique"
             )
         seen.add(var.name)
-        if not 2 <= var.arity <= DENSE_CELLS:
-            raise ValidationError(f"variable {var.name!r} has arity {var.arity}; "
+        if not (is_number(var.arity, integer=True) and 2 <= var.arity <= DENSE_CELLS):
+            raise ValidationError(f"variable {var.name!r} has arity {var.arity!r}; "
                                   f"arity must lie in 2..DENSE_CELLS = {DENSE_CELLS}")
+
+
+def check_parents(node: int, parents: tuple[int, ...], n: int) -> None:
+    """Raise ValidationError unless the sorted tuple `parents` lies in
+    0..n-1 and leaves out `node`; only its first and last entries are
+    compared with the bounds."""
+    if parents and (parents[0] < 0 or parents[-1] >= n or node in parents):
+        p = parents[0] if parents[0] < 0 else parents[-1]
+        if not 0 <= p < n:
+            raise ValidationError(f"node {node} has parent index {p} outside 0..{n - 1}")
+        raise ValidationError(f"node {node} cannot be its own parent: it lists itself")
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,17 +88,13 @@ class Dag:
 
     def __post_init__(self):
         n = self.n
+        check_number("node count", n, integer=True, low=0)
         norm = tuple(tuple(sorted({int(p) for p in ps})) for ps in self.parents)
         if len(norm) != n:
             raise ValidationError(f"expected one parent set per node ({n}), "
                                   f"got {len(norm)}")
         for i, ps in enumerate(norm):
-            for p in ps:
-                if p == i:
-                    raise ValidationError(f"node {i} lists itself as a parent")
-                if not 0 <= p < n:
-                    raise ValidationError(f"node {i} has parent index {p} "
-                                          f"outside 0..{n - 1}")
+            check_parents(i, ps, n)
         object.__setattr__(self, "parents", norm)
         self.topological_order()  # raises on cycles
 
@@ -171,6 +179,9 @@ class BayesianNetwork:
             raise SchemaError(
                 f"graph has {dag.n} nodes but {len(variables)} variables given"
             )
+        if len(cpts) != len(variables):
+            raise SchemaError(f"expected one CPT per variable ({len(variables)}), "
+                              f"got {len(cpts)}")
         arities = [int(v.arity) for v in variables]  # Python ints never wrap
         tables: list[np.ndarray] = []
         for i, var in enumerate(variables):
@@ -179,6 +190,9 @@ class BayesianNetwork:
             except OverflowError:  # an integer beyond every float
                 raise ValidationError(f"CPT for {var.name!r} contains "
                                       f"probabilities outside [0, 1]") from None
+            except (ValueError, TypeError):  # ragged rows, a cell that is no number
+                raise ValidationError(f"CPT for {var.name!r} must be a table of "
+                                      f"numbers") from None
             q = math.prod(arities[p] for p in dag.parents[i])
             if t.shape != (q, var.arity):
                 raise ValidationError(
@@ -299,8 +313,7 @@ def ancestral_sample(net: BayesianNetwork, count: int, seed: int) -> Dataset:
     dataset takes over, so the peak stays near the table's own size; the
     blocks draw the same uniform stream as one call would.
     """
-    if count < 1:
-        raise ValidationError(f"sample count must be >= 1, got {count}")
+    check_number("sample count", count, integer=True, low=1)
     check_number("seed", seed, integer=True, low=0)
     rng = np.random.default_rng(seed)
     arities = net.arities

@@ -55,28 +55,32 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="command", required=True,
         parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
-    p = sub.add_parser("random-net",
-                       help="generate a synthetic ground-truth network")
+    def add(name: str, run, help: str) -> argparse.ArgumentParser:
+        """A subcommand whose parsed arguments carry its handler as `run`."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = add("random-net", _cmd_random_net, "generate a synthetic ground-truth network")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--max-arity", type=int, default=2)
     p.add_argument("--density", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out-file", type=str, default=None)
 
-    p = sub.add_parser("sample",
-                       help="draw a dataset from a network by ancestral sampling")
+    p = add("sample", _cmd_sample,
+            "draw a dataset from a network by ancestral sampling")
     p.add_argument("--net", type=str, required=True)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out-file", type=str, default=None)
 
-    p = sub.add_parser("score",
-                       help="BDe log-score of a stored structure on a dataset")
+    p = add("score", _cmd_score, "BDe log-score of a stored structure on a dataset")
     p.add_argument("--net", type=str, required=True)
     p.add_argument("--data", type=str, required=True)
 
-    p = sub.add_parser("learn-ccga",
-                       help="learn a structure with the coevolutionary GA")
+    p = add("learn-ccga", _cmd_learn_ccga,
+            "learn a structure with the coevolutionary GA")
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--config", type=str, default=None,
                    help="JSON file of GaConfig fields")
@@ -87,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --out, also export the structure with "
                         "posterior-mean CPTs")
 
-    p = sub.add_parser("learn-k2",
-                       help="learn a structure with greedy K2 (random ordering)")
+    p = add("learn-k2", _cmd_learn_k2,
+            "learn a structure with greedy K2 (random ordering)")
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--max-parents", type=int, default=10)
     p.add_argument("--seed", type=int, default=0, help="random seed")
@@ -97,8 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --out, also export the structure with "
                         "posterior-mean CPTs")
 
-    p = sub.add_parser("compare",
-                       help="paired CCGA vs K2 experiment from a JSON config")
+    p = add("compare", _cmd_compare, "paired CCGA vs K2 experiment from a JSON config")
     p.add_argument("--config", type=str, required=True,
                    help="JSON experiment config")
     p.add_argument("--seed", type=int, default=None,
@@ -106,13 +109,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None,
                    help="output directory (default: the config's out_dir)")
 
-    p = sub.add_parser("enumerate",
-                       help="score every DAG on a dataset's variables (up to 5)")
+    p = add("enumerate", _cmd_enumerate,
+            "score every DAG on a dataset's variables (up to 5)")
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--out-file", type=str, default=None)
 
-    p = sub.add_parser("count-dags",
-                       help="exact number of labeled DAGs on n nodes")
+    p = add("count-dags", _cmd_count_dags, "exact number of labeled DAGs on n nodes")
     p.add_argument("n", type=int)
 
     return parser
@@ -127,6 +129,19 @@ def _check_out(out) -> None:
         path = path.parent
     if not path.is_dir():
         raise NotADirectoryError(f"--out {out}: {path} is not a directory")
+
+
+def _check_out_file(out_file) -> None:
+    """Refuse before any work an --out-file that open() would refuse: its
+    parent must be an existing directory and it must not be one itself."""
+    if not out_file:
+        return
+    path = Path(out_file)
+    if not path.parent.is_dir():
+        raise NotADirectoryError(f"--out-file {out_file}: {path.parent} is not "
+                                 f"an existing directory")
+    if path.is_dir():
+        raise IsADirectoryError(f"--out-file {out_file} is a directory")
 
 
 def _save_learned(args, prefix: str, data, dag: Dag, score: float,
@@ -155,6 +170,7 @@ def _save_learned(args, prefix: str, data, dag: Dag, score: float,
 
 
 def _cmd_random_net(args) -> int:
+    _check_out_file(args.out_file)
     net = random_network(args.nodes, args.max_arity, args.density, args.seed)
     if args.out_file:
         save_network(net, args.out_file)
@@ -165,6 +181,7 @@ def _cmd_random_net(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_out_file(args.out_file)
     net = load_network(args.net)
     data = ancestral_sample(net, args.rows, args.seed)
     if args.out_file:
@@ -219,6 +236,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _check_out_file(args.out_file)
     lines = ["dag,score"]
     for dag, score in score_all_dags(load_dataset(args.data)):
         spec = ";".join(",".join(map(str, ps)) for ps in dag.parents)
@@ -237,18 +255,6 @@ def _cmd_count_dags(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "random-net": _cmd_random_net,
-    "sample": _cmd_sample,
-    "score": _cmd_score,
-    "learn-ccga": _cmd_learn_ccga,
-    "learn-k2": _cmd_learn_k2,
-    "compare": _cmd_compare,
-    "enumerate": _cmd_enumerate,
-    "count-dags": _cmd_count_dags,
-}
-
-
 def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -259,7 +265,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

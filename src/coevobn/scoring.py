@@ -26,6 +26,7 @@ from .bayesnet import (
     BayesianNetwork,
     Dag,
     Dataset,
+    check_parents,
     mixed_radix_index,
     parent_config_index,
 )
@@ -71,6 +72,12 @@ class LocalScoreCache(dict):
         return value
 
 
+def _refuse_empty(data: Dataset) -> None:
+    if not data.n_rows:
+        raise EmptyDataError(
+            "dataset has no rows; scores over an empty dataset do not rank structures")
+
+
 def _family(data: Dataset, node: int,
             parent_set: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The sorted parents of a valid family on a non-empty dataset, and the
@@ -80,16 +87,8 @@ def _family(data: Dataset, node: int,
     if not 0 <= node < n:
         raise ValidationError(f"node index {node} outside 0..{n - 1}")
     parent_set = tuple(sorted(map(int, parent_set)))
-    if parent_set and (parent_set[0] < 0 or parent_set[-1] >= n
-                       or node in parent_set):
-        p = parent_set[0] if parent_set[0] < 0 else parent_set[-1]
-        if not 0 <= p < n:
-            raise ValidationError(f"parent index {p} outside 0..{n - 1}")
-        raise ValidationError(f"node {node} cannot be its own parent")
-    if not len(data.rows):
-        raise EmptyDataError(
-            "dataset has no rows; scores over an empty dataset do not rank structures"
-        )
+    check_parents(node, parent_set, n)
+    _refuse_empty(data)
     cells = arities[node]
     for p in parent_set:
         cells *= arities[p]
@@ -278,10 +277,7 @@ def prequential_log_score(data: Dataset, dag: Dag) -> float:
     with the closed form.
     """
     _check_schema(data, dag)
-    if data.n_rows == 0:
-        raise EmptyDataError(
-            "dataset has no rows; scores over an empty dataset do not rank structures"
-        )
+    _refuse_empty(data)
     arities = data.arities
     a = PSEUDO_COUNT
     # per node: rows seen per parent configuration j, and per cell j * r + k

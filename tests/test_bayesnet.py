@@ -357,6 +357,17 @@ class TestNetworkIO:
             BayesianNetwork(binary_vars(2), Dag(2, [(), (0,)]),
                             [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])])
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_one_cpt_per_variable_is_required(self, count):
+        with pytest.raises(SchemaError, match=rf"one CPT per variable \(1\), got {count}"):
+            BayesianNetwork([Variable("x", 2)], Dag(1, [[]]), [[[0.5, 0.5]]] * count)
+
+    @pytest.mark.parametrize("cpt", [[[0.5, 0.5], [1.0]], [["a", "b"]], [[{}, 0.5]]],
+                             ids=["ragged", "string", "dict"])
+    def test_cpt_that_is_no_table_of_numbers_names_the_variable(self, cpt):
+        with pytest.raises(ValidationError, match="CPT for 'x' must be a table of numbers"):
+            BayesianNetwork([Variable("x", 2)], Dag(1, [[]]), [cpt])
+
 
 class TestDatasetIO:
     def test_round_trip_exact(self, tmp_path):

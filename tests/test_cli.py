@@ -25,6 +25,7 @@ from coevobn import (
     Variable,
     ancestral_sample,
     bde_log_score,
+    cli,
     load_structure,
     prequential_log_score,
     random_network,
@@ -213,6 +214,32 @@ class TestUsageErrors:
         code, _, err = run(capsys, command, "--data", str(tmp_path / "missing"),
                            "--out", str(tmp_path / out))
         assert code == 2 and "is not a directory" in err
+
+    @pytest.mark.parametrize("out", ["missing/x", "file/x", "dir"])
+    @pytest.mark.parametrize("command, work", [
+        ("random-net", "random_network"), ("sample", "ancestral_sample"),
+        ("enumerate", "score_all_dags")])
+    def test_unusable_out_file_is_refused_before_any_work(
+            self, capsys, tmp_path, monkeypatch, command, work, out):
+        net, data = tmp_path / "net", tmp_path / "data"
+        run(capsys, "random-net", "--nodes", "3", "--out-file", str(net))
+        run(capsys, "sample", "--net", str(net), "--rows", "20", "--out-file", str(data))
+        (tmp_path / "file").write_text("kept\n")
+        (tmp_path / "dir").mkdir()
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(cli, work, never)
+        argv = {"random-net": ["--nodes", "3"],
+                "sample": ["--net", str(net), "--rows", "20"],
+                "enumerate": ["--data", str(data)]}[command]
+        code, stdout, err = run(capsys, command, *argv, "--out-file", str(tmp_path / out))
+        assert code == 2
+        assert err.startswith(f"error: --out-file {tmp_path / out}")
+        assert "Traceback" not in err and stdout == ""
+        assert (tmp_path / "file").read_text() == "kept\n"
+        assert list((tmp_path / "dir").iterdir()) == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_other_os_error_exits_1_without_a_traceback(self, capsys):

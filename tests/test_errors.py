@@ -1,4 +1,5 @@
-"""The shared refusal of work that cannot be held, and the number test."""
+"""The shared refusal of work that cannot be held, the number test, and the
+counts and arities that go through it."""
 
 import sys
 from fractions import Fraction
@@ -6,7 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coevobn import ValidationError, errors
+from coevobn import (
+    Dag,
+    Dataset,
+    ValidationError,
+    Variable,
+    ancestral_sample,
+    errors,
+    random_network,
+)
+from coevobn.baselines import COUNT_LIMIT, count_dags, enumerate_dags
 from coevobn.errors import check_number, is_number, refuse_out_of_memory
 
 
@@ -70,3 +80,40 @@ class TestIsNumber:
         with pytest.raises(ValidationError, match="must be a number, got True"):
             check_number("rate", True)
         check_number("rate", 0.5, low=0, high=1)
+
+
+NET = random_network(2, seed=0)
+
+
+class TestCountsPassTheNumberRule:
+    @pytest.mark.parametrize("probe", [
+        lambda: count_dags(5.0),
+        lambda: count_dags(True),
+        lambda: count_dags("5"),
+        lambda: list(enumerate_dags(2.0)),
+        lambda: ancestral_sample(NET, 5.0, 1),
+        lambda: ancestral_sample(NET, True, 1),
+        lambda: Dataset([Variable("x", 2.5)], [[0], [1]]),
+        lambda: Dataset([Variable("x", "3")], [[0], [1]]),
+        lambda: Dag(True, [[]]),
+        lambda: Dag(2.0, [[], []]),
+    ], ids=["count-float", "count-bool", "count-string", "enumerate-float",
+            "sample-float", "sample-bool", "arity-float", "arity-string",
+            "dag-bool", "dag-float"])
+    def test_a_count_that_is_no_integer_is_refused(self, probe):
+        with pytest.raises(ValidationError):
+            probe()
+
+    @pytest.mark.parametrize("probe, message", [
+        (lambda: count_dags(0), f"node count must lie in [1, {COUNT_LIMIT}], got 0"),
+        (lambda: count_dags(COUNT_LIMIT + 1),
+         f"node count must lie in [1, {COUNT_LIMIT}], got {COUNT_LIMIT + 1}"),
+        (lambda: list(enumerate_dags(0)), "node count must be >= 1, got 0"),
+        (lambda: ancestral_sample(NET, 0, 1), "sample count must be >= 1, got 0"),
+        (lambda: Dataset([Variable("x", 1)], [[0]]),
+         "variable 'x' has arity 1; arity must lie in 2..DENSE_CELLS = 4194304"),
+    ], ids=["count-low", "count-high", "enumerate-low", "sample-low", "arity-low"])
+    def test_an_integer_out_of_range_keeps_its_message(self, probe, message):
+        with pytest.raises(ValidationError) as info:
+            probe()
+        assert str(info.value) == message

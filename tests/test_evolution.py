@@ -28,10 +28,11 @@ from coevobn.evolution import two_distinct
 from coevobn.scoring import (
     LocalScoreCache,
     bde_log_score,
+    local_log_score,
     prequential_log_score,
     score_parent_sets,
 )
-from coevobn.encoding import decode, decode_parents
+from coevobn.encoding import decode, decode_parents, mask_nodes
 from helpers import chain3, chain4, dataset, reference_cycle_crossover
 
 
@@ -446,6 +447,26 @@ class TestEvolve:
         assert lines[0] == "generation,best_score,mean_score,evaluations"
         assert len(lines) == 4
         assert lines[1].startswith("0,")
+
+    def test_cache_counts_and_entries_are_exact_over_a_run(self, monkeypatch):
+        """Over a whole run, each miss is one new entry, every scored pair
+        reads one term per node, and every entry is its fresh local score."""
+        caches = []
+
+        class RecordedCache(LocalScoreCache):
+            def __init__(self, data):
+                super().__init__(data)
+                caches.append(self)
+
+        monkeypatch.setattr(evolution, "LocalScoreCache", RecordedCache)
+        data = ancestral_sample(random_network(6, 3, 0.4, seed=2), 300, seed=3)
+        _, trace = evolve(data, self.small_config(generations=5))
+        (cache,) = caches
+        assert cache.misses == len(cache) > 0
+        assert cache.hits + cache.misses == \
+            data.n_cols * sum(r.evaluations for r in trace.records)
+        for (node, mask), value in cache.items():
+            assert value == local_log_score(data, node, mask_nodes(mask))
 
     def test_operators_and_scorer_are_read_from_the_module(self, monkeypatch):
         """A run calls its operators and scorer through the module's
