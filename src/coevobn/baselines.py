@@ -12,9 +12,10 @@ import numpy as np
 
 from .bayesnet import Dag, Dataset
 from .encoding import decode_parents, masks_dag, triangular_size
-from .errors import EmptyDataError, ValidationError, check_number, is_number
+from .errors import ValidationError, check_number, is_number
 from .scoring import (
     LocalScoreCache,
+    _refuse_empty,
     extension_scores,
     local_log_score,
     score_parent_sets,
@@ -56,8 +57,7 @@ def k2_learn(data: Dataset, cfg: K2Config) -> tuple[Dag, float]:
     candidates with scoring.extension_scores.
     """
     cfg.validate()
-    if data.n_rows == 0:
-        raise EmptyDataError("cannot learn structures from a dataset with no rows")
+    _refuse_empty(data)
     n = data.n_cols
     if cfg.ordering == "random":
         order = [int(v) for v in np.random.default_rng(cfg.seed).permutation(n)]
@@ -110,7 +110,8 @@ def count_dags(n: int) -> int:
 
 def _enumerate_masks(n: int) -> Iterator[tuple[int, ...]]:
     """The parent masks of every labeled DAG on n nodes, once each, in
-    enumeration order (see enumerate_dags)."""
+    enumeration order (see enumerate_dags). The node count is checked at
+    the call; the masks are made as they are iterated."""
     check_number("node count", n, integer=True, low=1)
     if n > ENUMERATION_LIMIT:
         raise ValidationError(
@@ -120,13 +121,16 @@ def _enumerate_masks(n: int) -> Iterator[tuple[int, ...]]:
         )
     E = triangular_size(n)
     masks = [bytes((mask >> b) & 1 for b in range(E)) for mask in range(1 << E)]
-    seen: set[tuple[int, ...]] = set()
-    for order in permutations(range(n)):
-        for bits in masks:
-            key = decode_parents(order, bits)
-            if key not in seen:
-                seen.add(key)
-                yield key
+
+    def unique_keys():
+        seen: set[tuple[int, ...]] = set()
+        for order in permutations(range(n)):
+            for bits in masks:
+                key = decode_parents(order, bits)
+                if key not in seen:
+                    seen.add(key)
+                    yield key
+    return unique_keys()
 
 
 def enumerate_dags(n: int) -> Iterator[Dag]:
@@ -143,10 +147,10 @@ def enumerate_dags(n: int) -> Iterator[Dag]:
 
 def score_all_dags(data: Dataset) -> Iterator[tuple[Dag, float]]:
     """Score every structure on the dataset's variables (small n only),
-    memoizing local scores across structures."""
-    cache = LocalScoreCache(data)
-    for key in _enumerate_masks(data.n_cols):
-        yield masks_dag(key), score_parent_sets(key, cache)
+    memoizing local scores across structures; the node count is checked
+    at the call."""
+    keys, cache = _enumerate_masks(data.n_cols), LocalScoreCache(data)
+    return ((masks_dag(key), score_parent_sets(key, cache)) for key in keys)
 
 
 def exhaustive_best(data: Dataset) -> tuple[Dag, float]:

@@ -49,19 +49,22 @@ class Variable:
 
 
 def check_variables(variables: Sequence[Variable]) -> None:
-    """Raise ValidationError unless names are unique and non-empty and every
-    arity is an integer in 2..DENSE_CELLS, so that one variable's counts fit
-    a table."""
+    """Raise ValidationError, naming variables[k], unless every name is a
+    non-empty str unique in the network and every arity an integer in
+    2..DENSE_CELLS, so that one variable's counts fit a table."""
     seen = set()
-    for var in variables:
-        if not var.name:
-            raise ValidationError("variable names must be non-empty")
+    for k, var in enumerate(variables):
+        if not (isinstance(var.name, str) and var.name):
+            raise ValidationError(f"variables[{k}].name must be a non-empty string, "
+                                  f"got {var.name!r}")
         if var.name in seen:
-            raise ValidationError(
-                f"duplicate variable name {var.name!r}; names within a network must be unique"
-            )
+            raise ValidationError(f"variables[{k}].name: duplicate variable name "
+                                  f"{var.name!r}; names within a network must be unique")
         seen.add(var.name)
-        if not (is_number(var.arity, integer=True) and 2 <= var.arity <= DENSE_CELLS):
+        if not is_number(var.arity, integer=True):
+            raise ValidationError(f"variables[{k}].arity must be an integer, "
+                                  f"got {var.arity!r}")
+        if not 2 <= var.arity <= DENSE_CELLS:
             raise ValidationError(f"variable {var.name!r} has arity {var.arity!r}; "
                                   f"arity must lie in 2..DENSE_CELLS = {DENSE_CELLS}")
 
@@ -80,8 +83,8 @@ def check_parents(node: int, parents: tuple[int, ...], n: int) -> None:
 @dataclass(frozen=True, slots=True)
 class Dag:
     """Directed acyclic graph over nodes 0..n-1, stored as one sorted parent
-    tuple per node, made from any iterables of parent indices. Construction
-    validates acyclicity by topological sort."""
+    tuple per node, made from any iterables of integer parent indices.
+    Construction validates acyclicity by topological sort."""
 
     n: int
     parents: tuple[tuple[int, ...], ...]
@@ -89,13 +92,22 @@ class Dag:
     def __post_init__(self):
         n = self.n
         check_number("node count", n, integer=True, low=0)
-        norm = tuple(tuple(sorted({int(p) for p in ps})) for ps in self.parents)
+        norm = []
+        for k, ps in enumerate(self.parents):
+            try:
+                ids = tuple(ps)
+                if not all(is_number(p, integer=True) for p in ids):
+                    raise TypeError  # int() would truncate a float parent
+            except TypeError:  # no iterable, or a parent that is no integer
+                raise ValidationError(f"parents[{k}] must be a list of node indices, "
+                                      f"got {ps!r}") from None
+            norm.append(tuple(sorted(set(map(int, ids)))))
         if len(norm) != n:
-            raise ValidationError(f"expected one parent set per node ({n}), "
+            raise ValidationError(f"parents: expected one parent set per node ({n}), "
                                   f"got {len(norm)}")
         for i, ps in enumerate(norm):
             check_parents(i, ps, n)
-        object.__setattr__(self, "parents", norm)
+        object.__setattr__(self, "parents", tuple(norm))
         self.topological_order()  # raises on cycles
 
     @classmethod
@@ -180,19 +192,24 @@ class BayesianNetwork:
                 f"graph has {dag.n} nodes but {len(variables)} variables given"
             )
         if len(cpts) != len(variables):
-            raise SchemaError(f"expected one CPT per variable ({len(variables)}), "
+            raise SchemaError(f"cpts: expected one CPT per variable ({len(variables)}), "
                               f"got {len(cpts)}")
         arities = [int(v.arity) for v in variables]  # Python ints never wrap
         tables: list[np.ndarray] = []
         for i, var in enumerate(variables):
+            table = cpts[i]
             try:
-                t = np.array(cpts[i], dtype=float)
+                # np.array would turn a bool or numeric-string cell into a float
+                if not (isinstance(table, np.ndarray) and table.dtype.kind in "iuf"
+                        or all(all(map(is_number, row)) for row in table)):
+                    raise TypeError
+                t = np.array(table, dtype=float)
             except OverflowError:  # an integer beyond every float
                 raise ValidationError(f"CPT for {var.name!r} contains "
                                       f"probabilities outside [0, 1]") from None
             except (ValueError, TypeError):  # ragged rows, a cell that is no number
-                raise ValidationError(f"CPT for {var.name!r} must be a table of "
-                                      f"numbers") from None
+                raise ValidationError(f"cpts[{i}]: CPT for {var.name!r} must be a "
+                                      f"table of numbers") from None
             q = math.prod(arities[p] for p in dag.parents[i])
             if t.shape != (q, var.arity):
                 raise ValidationError(
@@ -395,42 +412,31 @@ def read_json(path) -> dict:
 
 
 def _parse_structure(doc: dict, path) -> tuple[list[Variable], Dag]:
+    """The variables and graph of a network file. Only the file's shape is
+    checked here; check_variables and Dag check every value."""
     raw = doc.get("variables")
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{path}: field 'variables' must be a non-empty list")
-    variables = []
     for k, entry in enumerate(raw):
         if not isinstance(entry, dict) or "name" not in entry or "arity" not in entry:
             raise ParseError(
                 f"{path}: variables[{k}] must be an object with 'name' and 'arity'"
             )
-        if not isinstance(entry["name"], str):
-            raise ParseError(f"{path}: variables[{k}].name must be a string, "
-                             f"got {entry['name']!r}")
-        if not is_number(entry["arity"], integer=True):
-            raise ParseError(f"{path}: variables[{k}].arity must be an integer, "
-                             f"got {entry['arity']!r}")
-        variables.append(Variable(entry["name"], entry["arity"]))
-    n = len(variables)
-    raw = doc.get("parents")
-    if not isinstance(raw, list) or len(raw) != n:
-        raise ParseError(
-            f"{path}: field 'parents' must be a list with one entry per variable ({n})"
-        )
-    for k, ps in enumerate(raw):
-        if not isinstance(ps, list) or not all(is_number(p, integer=True) for p in ps):
-            raise ParseError(f"{path}: parents[{k}] must be a list of node indices, "
-                             f"got {ps!r}")
-    return variables, Dag(n, raw)
+    if not isinstance(doc.get("parents"), list):
+        raise ParseError(f"{path}: field 'parents' must be a list")
+    variables = [Variable(entry["name"], entry["arity"]) for entry in raw]
+    check_variables(variables)
+    return variables, Dag(len(variables), doc["parents"])
 
 
 def write_network(variables: Sequence[Variable], dag: Dag, f, cpts=None) -> None:
     """Write a network file's text to the open text file `f`, turning one
-    CPT at a time into Python floats; "cpts" is null in a structure file."""
+    CPT at a time, or a numpy arity, into Python numbers; "cpts" is null in
+    a structure file."""
     json.dump({"variables": [{"name": v.name, "arity": v.arity} for v in variables],
                "parents": [list(ps) for ps in dag.parents],
                "cpts": None if cpts is None else list(cpts)},
-              f, indent=2, default=np.ndarray.tolist)
+              f, indent=2, default=lambda value: value.tolist())
     f.write("\n")
 
 
@@ -448,16 +454,8 @@ def load_network(path) -> BayesianNetwork:
             f"{path}: field 'cpts' is null or missing; this is a structure-only "
             f"file (use load_structure)"
         )
-    if not isinstance(cpts, list) or len(cpts) != len(variables):
-        raise ParseError(
-            f"{path}: field 'cpts' must be a list with one table per variable"
-        )
-    for k, table in enumerate(cpts):
-        if not isinstance(table, list) or not all(
-                isinstance(row, list) and len(row) == len(table[0])
-                and all(map(is_number, row)) for row in table):
-            raise ParseError(f"{path}: cpts[{k}] must be a list of equal-length "
-                             f"rows of numbers")
+    if not isinstance(cpts, list):
+        raise ParseError(f"{path}: field 'cpts' must be a list")
     return BayesianNetwork(variables, dag, cpts)
 
 
@@ -501,8 +499,8 @@ def load_dataset(path) -> Dataset:
             raise ParseError(f"{path}: empty file; expected a header row")
         variables = []
         for k, field in enumerate(header):
-            name, sep, arity = field.partition(":")
-            if not sep or not name:
+            name, sep, arity = field.rpartition(":")  # a name may hold ":"
+            if not sep:
                 raise ParseError(f"{path} line 1 field {k + 1}: expected "
                                  f"'name:arity', got {field!r}")
             try:

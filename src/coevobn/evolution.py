@@ -22,13 +22,12 @@ import numpy as np
 from .bayesnet import Dataset
 from .encoding import decode_parents, triangular_index, triangular_size
 from .errors import (
-    EmptyDataError,
     EngineError,
     ValidationError,
     check_number,
     refuse_out_of_memory,
 )
-from .scoring import LocalScoreCache, score_parent_sets
+from .scoring import LocalScoreCache, _refuse_empty, score_parent_sets
 
 
 @dataclass
@@ -295,8 +294,7 @@ def evolve(data: Dataset, cfg: GaConfig
     Two species whose genes alone, population_size * (8n + E) bytes, cannot
     be held are refused before or during set-up (refuse_out_of_memory)."""
     cfg.validate()
-    if data.n_rows == 0:
-        raise EmptyDataError("cannot evolve structures on a dataset with no rows")
+    _refuse_empty(data)
     n, E = data.n_cols, triangular_size(data.n_cols)
     cache = LocalScoreCache(data)
     p_mb = cfg.p_mb if cfg.p_mb is not None else (1.0 / E if E else 0.0)

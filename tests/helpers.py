@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from coevobn import (
     BayesianNetwork,
@@ -89,6 +90,38 @@ def reference_network_text(variables, dag, cpts=None):
         "cpts": None if cpts is None else [t.tolist() for t in cpts],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# A valid network file's document, and malformed values for it: the path
+# of the value replaced, the value, and text the refusal must contain.
+NETWORK_DOC = {"variables": [{"name": "A", "arity": 2}, {"name": "B", "arity": 2}],
+               "parents": [[], [0]],
+               "cpts": [[[0.5, 0.5]], [[0.9, 0.1], [0.2, 0.8]]]}
+MALFORMED_NETWORK_VALUES = [
+    pytest.param(("variables", 0, "name"), None, "variables[0].name", id="name-null"),
+    pytest.param(("variables", 0, "arity"), "x", "variables[0].arity", id="arity-string"),
+    pytest.param(("variables", 0, "arity"), 2.7, "variables[0].arity", id="arity-float"),
+    pytest.param(("variables", 1, "arity"), True, "variables[1].arity", id="arity-bool"),
+    pytest.param(("parents", 1, 0), "a", "parents[1]", id="parent-string"),
+    pytest.param(("parents", 1, 0), 0.5, "parents[1]", id="parent-float"),
+    pytest.param(("cpts", 0), "abc", "cpts[0]", id="cpt-string"),
+    pytest.param(("cpts", 1, 1), [0.2], "cpts[1]", id="cpt-ragged"),
+    pytest.param(("cpts", 1, 1, 0), "0.2", "cpts[1]", id="cpt-cell-string"),
+    pytest.param(("cpts", 1, 1, 0), float("nan"), "probabilities outside [0, 1]",
+                 id="cpt-nan"),
+    pytest.param(("cpts", 1, 1, 0), 10 ** 400, "probabilities outside [0, 1]",
+                 id="cpt-beyond-float"),
+]
+
+
+def malformed_network_doc(path, value):
+    """A copy of NETWORK_DOC with the value at `path` replaced."""
+    doc = json.loads(json.dumps(NETWORK_DOC))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
 
 
 def dataset(arities, rows):

@@ -60,6 +60,15 @@ class TestEnumerateDags:
         with pytest.raises(ValidationError, match="super-exponential"):
             next(enumerate_dags(6))
 
+    @pytest.mark.parametrize("probe, message", [
+        (lambda: enumerate_dags(6), "super-exponential"),
+        (lambda: enumerate_dags(2.0), "node count must be an integer"),
+        (lambda: score_all_dags(dataset([2] * 6, [[0] * 6])), "super-exponential"),
+    ], ids=["enumerate-6", "enumerate-float", "score-all-6"])
+    def test_node_count_is_checked_at_the_call(self, probe, message):
+        with pytest.raises(ValidationError, match=message):
+            probe()  # not iterated
+
 
 class TestScoreAllDags:
     @pytest.mark.parametrize("n", [3, 4])

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import json
 import time
 import tracemalloc
 from itertools import product
@@ -14,6 +15,7 @@ import pytest
 from coevobn import bayesnet
 from coevobn import (
     BayesianNetwork,
+    CoevoBnError,
     Dag,
     Dataset,
     ParseError,
@@ -31,11 +33,13 @@ from coevobn import (
 )
 from coevobn.bayesnet import SAMPLE_BLOCK, write_dataset
 from helpers import (
+    MALFORMED_NETWORK_VALUES,
     binary_vars,
     chain_pair,
     dataset,
     independent_pair,
     joint_probability,
+    malformed_network_doc,
     reference_network_text,
     single_binary,
 )
@@ -102,6 +106,16 @@ class TestDag:
                     Dag(n, parents)
         assert verdicts[True] >= 200 and verdicts[False] >= 200
 
+    def test_float_parent_is_refused_not_truncated(self):
+        with pytest.raises(ValidationError,
+                           match=r"parents\[0\] must be a list of node indices"):
+            Dag(3, [[1.7], [], []])
+
+    def test_numpy_integer_parents_become_python_ints(self):
+        dag = Dag(3, [np.array([2, 1]), [], [np.int64(1)]])
+        assert dag.parents == ((1, 2), (), (1,))
+        assert {type(p) for ps in dag.parents for p in ps} == {int}
+
     def test_50000_parentless_nodes_build_promptly(self):
         # a sort that re-sorts the ready list after every pop takes over 15 s
         start = time.perf_counter()
@@ -139,6 +153,57 @@ class TestVariables:
     def test_unit_arity_rejected(self):
         with pytest.raises(ValidationError, match="arity"):
             Dataset([Variable("A", 1)], [[0]])
+
+
+def construct(doc):
+    """The constructors called on a network document's values."""
+    variables = [Variable(v["name"], v["arity"]) for v in doc["variables"]]
+    return BayesianNetwork(variables, Dag(len(variables), doc["parents"]), doc["cpts"])
+
+
+class TestFileAndConstructorsRefuseAlike:
+    """A network file's values pass the constructors' checks and no others,
+    so a file and the same values through the API meet one refusal."""
+
+    @pytest.mark.parametrize("path, value, field", MALFORMED_NETWORK_VALUES + [
+        # each was accepted by the constructors before they held every rule
+        pytest.param(("cpts", 0), [["0.5", "0.5"]], "cpts[0]", id="cpt-numeric-strings"),
+        pytest.param(("cpts", 0), [[True, False]], "cpts[0]", id="cpt-bools"),
+        pytest.param(("cpts", 0), [[True, 0.0]], "cpts[0]", id="cpt-bool-and-float"),
+        pytest.param(("variables", 0, "name"), 5, "variables[0].name", id="name-int"),
+        # each was accepted by load_structure
+        pytest.param(("variables", 0, "arity"), 1, "variable 'A' has arity 1",
+                     id="arity-1"),
+        pytest.param(("variables", 1, "name"), "A", "variables[1].name",
+                     id="name-repeated"),
+    ])
+    def test_load_network_and_the_constructors_refuse_alike(self, tmp_path, path,
+                                                             value, field):
+        doc = malformed_network_doc(path, value)
+        file = tmp_path / "net.json"
+        file.write_text(json.dumps(doc))
+        with pytest.raises(CoevoBnError) as from_api:
+            construct(doc)
+        assert field in str(from_api.value)
+        with pytest.raises(CoevoBnError) as from_file:
+            load_network(file)
+        assert repr(from_file.value) == repr(from_api.value)  # type and message
+        if path[0] != "cpts":
+            with pytest.raises(CoevoBnError) as from_structure:
+                load_structure(file)
+            assert repr(from_structure.value) == repr(from_api.value)
+
+    def test_api_forms_round_trip_through_a_file(self, tmp_path):
+        variables = binary_vars(2) + [Variable("X3", np.int64(2))]
+        net = BayesianNetwork(
+            variables, Dag(3, [[], np.array([0]), [np.int64(0), np.int32(1)]]),
+            [np.array([[0.5, 0.5]]), [(0.9, 0.1), np.array([0.2, 0.8])],
+             [np.array([0.25, 0.75])] * 2 + [(0.5, 0.5), (1, 0)]])
+        save_network(net, tmp_path / "net.json")
+        loaded = load_network(tmp_path / "net.json")
+        assert loaded.dag == net.dag == Dag(3, [(), (0,), (0, 1)])
+        assert loaded.arities == [2, 2, 2]
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.cpts, net.cpts))
 
 
 class TestJointProbability:
@@ -379,6 +444,15 @@ class TestDatasetIO:
         assert np.array_equal(loaded.rows, data.rows)
         assert [(v.name, v.arity) for v in loaded.variables] == \
             [(v.name, v.arity) for v in data.variables]
+
+    def test_names_with_colon_comma_and_space_round_trip(self, tmp_path):
+        data = Dataset([Variable("a:b", 2), Variable("c,d", 3), Variable("e f", 2)],
+                       [[0, 2, 1], [1, 0, 0]])
+        save_dataset(data, tmp_path / "data.csv")
+        loaded = load_dataset(tmp_path / "data.csv")
+        assert [(v.name, v.arity) for v in loaded.variables] == \
+            [("a:b", 2), ("c,d", 3), ("e f", 2)]
+        assert np.array_equal(loaded.rows, data.rows)
 
     @pytest.mark.parametrize("m", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
                                    SAMPLE_BLOCK + 1])

@@ -37,8 +37,10 @@ from coevobn.baselines import COUNT_LIMIT, ENUMERATION_LIMIT, count_dags
 from coevobn.bayesnet import NODE_BYTES, SAMPLE_BLOCK
 from coevobn.cli import cli_main
 from helpers import (
+    MALFORMED_NETWORK_VALUES,
     chain3,
     distinct_parent_rows,
+    malformed_network_doc,
     reference_local_score,
     reference_network_text,
 )
@@ -544,32 +546,10 @@ class TestHugeArity:
 
 
 class TestMalformedNetworkFile:
-    NET = {"variables": [{"name": "A", "arity": 2}, {"name": "B", "arity": 2}],
-           "parents": [[], [0]],
-           "cpts": [[[0.5, 0.5]], [[0.9, 0.1], [0.2, 0.8]]]}
-
-    @pytest.mark.parametrize("path, value, field", [
-        (("variables", 0, "name"), None, "variables[0].name"),
-        (("variables", 0, "arity"), "x", "variables[0].arity"),
-        (("variables", 0, "arity"), 2.7, "variables[0].arity"),
-        (("variables", 1, "arity"), True, "variables[1].arity"),
-        (("parents", 1, 0), "a", "parents[1]"),
-        (("parents", 1, 0), 0.5, "parents[1]"),
-        (("cpts", 0), "abc", "cpts[0]"),
-        (("cpts", 1, 1), [0.2], "cpts[1]"),
-        (("cpts", 1, 1, 0), "0.2", "cpts[1]"),
-        (("cpts", 1, 1, 0), float("nan"), "probabilities outside [0, 1]"),
-        (("cpts", 1, 1, 0), 10 ** 400, "probabilities outside [0, 1]"),
-    ], ids=["name-null", "arity-string", "arity-float", "arity-bool",
-            "parent-string", "parent-float", "cpt-string", "cpt-ragged",
-            "cpt-cell-string", "cpt-nan", "cpt-beyond-float"])
+    @pytest.mark.parametrize("path, value, field", MALFORMED_NETWORK_VALUES)
     def test_sample_exits_2_naming_the_field(self, capsys, tmp_path, path,
                                              value, field):
-        doc = json.loads(json.dumps(self.NET))
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
+        doc = malformed_network_doc(path, value)
         net = tmp_path / "net.json"
         net.write_text(json.dumps(doc))
         code, _, err = run(capsys, "sample", "--net", str(net), "--rows", "5")

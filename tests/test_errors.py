@@ -1,5 +1,5 @@
-"""The shared refusal of work that cannot be held, the number test, and the
-counts and arities that go through it."""
+"""The shared refusal of work that cannot be held, the number test, the
+counts and arities that go through it, and the one empty-data refusal."""
 
 import sys
 from fractions import Fraction
@@ -10,10 +10,16 @@ import pytest
 from coevobn import (
     Dag,
     Dataset,
+    EmptyDataError,
+    GaConfig,
+    K2Config,
     ValidationError,
     Variable,
     ancestral_sample,
+    bde_log_score,
     errors,
+    evolve,
+    k2_learn,
     random_network,
 )
 from coevobn.baselines import COUNT_LIMIT, count_dags, enumerate_dags
@@ -117,3 +123,17 @@ class TestCountsPassTheNumberRule:
         with pytest.raises(ValidationError) as info:
             probe()
         assert str(info.value) == message
+
+
+class TestOneEmptyDataRefusal:
+    EMPTY = Dataset([Variable("x", 2), Variable("y", 2)], [])
+
+    @pytest.mark.parametrize("learn", [lambda data: evolve(data, GaConfig()),
+                                       lambda data: k2_learn(data, K2Config())],
+                             ids=["evolve", "k2_learn"])
+    def test_learners_refuse_with_the_scorers_message(self, learn):
+        with pytest.raises(EmptyDataError) as scored:
+            bde_log_score(self.EMPTY, Dag(2, [[], []]))
+        with pytest.raises(EmptyDataError) as learned:
+            learn(self.EMPTY)
+        assert str(learned.value) == str(scored.value)
